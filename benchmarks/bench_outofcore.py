@@ -3,7 +3,7 @@
 The acceptance harness for ``repro.storage``.  Three tiers:
 
 * **Small (CI)** -- chunked hypercube runs against the in-memory
-  columnar backend on a matching triangle database: bit-identical
+  columnar engine on a matching triangle database: bit-identical
   per-server loads and answers, with real spill traffic, plus a
   pytest-benchmark latency probe.
 * **Budgeted smoke (CI)** -- a run whose assumed in-memory footprint
@@ -90,13 +90,11 @@ def test_outofcore_matches_inmemory(report_table):
     m, n = 60_000, 240_000
     db = matching_database(QUERY, m=m, n=n, seed=SEED)
     t0 = time.perf_counter()
-    reference = run_hypercube(QUERY, db, p=P, seed=SEED, backend="numpy")
+    reference = run_hypercube(QUERY, db, p=P, seed=SEED)
     in_memory_s = time.perf_counter() - t0
     with StorageManager(chunk_rows=1024) as storage:
         t0 = time.perf_counter()
-        chunked = run_hypercube(
-            QUERY, db, p=P, seed=SEED, backend="numpy", storage=storage
-        )
+        chunked = run_hypercube(QUERY, db, p=P, seed=SEED, storage=storage)
         chunked_s = time.perf_counter() - t0
         assert storage.bytes_spilled > 0, "run never touched disk"
         assert chunked.report.num_rounds == reference.report.num_rounds
@@ -152,9 +150,7 @@ def test_outofcore_latency(benchmark):
 
     def chunked_run():
         with StorageManager(chunk_rows=4096) as storage:
-            return run_hypercube(
-                QUERY, db, p=P, seed=SEED, backend="numpy", storage=storage
-            )
+            return run_hypercube(QUERY, db, p=P, seed=SEED, storage=storage)
 
     result = benchmark(chunked_run)
     assert result.report.num_rounds == 1

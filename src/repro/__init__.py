@@ -22,7 +22,7 @@ Quickstart -- configure the cluster once, run anything on it::
 
 A :class:`~repro.session.Session` wraps the paper's fixed machine
 configuration (:class:`~repro.session.ClusterConfig`: ``p`` servers,
-backend, seed, per-server capacity ``L``, memory budget) and exposes
+seed, per-server capacity ``L``, memory budget) and exposes
 one verb: ``session.run(query, db)`` routes through the cost-based
 planner, ``session.run(query, db, strategy="skew-star")`` pins a named
 algorithm, ``session.run_many([...])`` executes a batch of independent
@@ -59,14 +59,6 @@ The low-level layer stays available: the free functions
 ``run_plan`` and ``planner.execute`` take the same knobs per call and
 are thin wrappers over the session's shared run path (bit-identical
 results either way).
-
-Every executor and generator runs the columnar (``"numpy"``) engine by
-default; the tuple-at-a-time reference path is one switch away::
-
-    import repro
-    repro.set_default_backend("tuples")   # system-wide ground-truth mode
-    with repro.use_backend("tuples"):     # scoped, exception-safe form
-        ...
 
 When the data outgrows RAM, attach a storage manager and everything
 streams through disk-backed chunks with bit-identical results::
@@ -112,13 +104,10 @@ import logging as _logging
 
 from repro.config import (
     MachineSpec,
-    default_backend,
     default_machines,
     default_pool,
-    set_default_backend,
     set_default_machines,
     set_default_pool,
-    use_backend,
     use_machines,
     use_pool,
 )
@@ -198,9 +187,6 @@ __all__ = [
     "RunRecord",
     "RunResult",
     "Session",
-    "default_backend",
-    "set_default_backend",
-    "use_backend",
     "default_pool",
     "set_default_pool",
     "use_pool",

@@ -48,10 +48,8 @@ from repro import (
     Job,
     MachineSpec,
     Session,
-    default_backend,
     default_pool,
     matching_database,
-    set_default_backend,
     triangle_query,
     zipf_database,
 )
@@ -137,8 +135,6 @@ def parse_query(name: str) -> ConjunctiveQuery:
 def run_tour(trace_dir: str | None = None) -> None:
     print("repro: Beame-Koutris-Suciu, Communication Cost in Parallel")
     print("Query Processing (EDBT 2015) -- reproduction smoke tour")
-    print(f"execution backend: {default_backend()} "
-          "(see --backend / repro.set_default_backend)")
     print(f"worker pool: {default_pool()} "
           "(see `run --pool` / repro.set_default_pool; serial, thread "
           "and process pools are bit-identical)\n")
@@ -489,12 +485,6 @@ def main(argv: list[str] | None = None) -> None:
         description="Reproduction smoke tour and cost-based planner CLI.",
     )
     parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=None,
-        help="system-wide execution backend for this run "
-             "(default: numpy, the columnar engine; tuples is the "
-             "tuple-at-a-time reference path)",
-    )
-    parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
         help="record communication traces as JSONL artifacts under DIR "
              "(tour: the Session segment; run: every job); summarize "
@@ -530,12 +520,6 @@ def main(argv: list[str] | None = None) -> None:
              "footprint would exceed it, the winner runs out-of-core "
              "(chunked relations spilled to disk, identical results)",
     )
-    # Accept the global flag after the subcommand too; SUPPRESS keeps a
-    # pre-subcommand value from being clobbered by a subparser default.
-    plan_parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
     run_parser = sub.add_parser(
         "run", help="run a Session workload for a query (checked answers)"
     )
@@ -554,7 +538,7 @@ def main(argv: list[str] | None = None) -> None:
     run_parser.add_argument("--strategy", default=None,
                             help="pin a strategy by name instead of the "
                                  "planner's winner (e.g. hypercube, "
-                                 "skew-star, multiround-tuples)")
+                                 "skew-star, multiround)")
     run_parser.add_argument("--repeat", type=int, default=1,
                             help="number of seed-derived jobs (default 1)")
     run_parser.add_argument("--max-workers", type=int, default=None,
@@ -601,10 +585,8 @@ def main(argv: list[str] | None = None) -> None:
         help="print a progress line every N completed jobs "
              "(works with or without --metrics)",
     )
-    run_parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+    # Accept the global flag after the subcommand too; SUPPRESS keeps a
+    # pre-subcommand value from being clobbered by a subparser default.
     run_parser.add_argument(
         "--trace-dir", default=argparse.SUPPRESS, metavar="DIR",
         help=argparse.SUPPRESS,
@@ -663,8 +645,6 @@ def main(argv: list[str] | None = None) -> None:
         help="print every rule id with its description and exit",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_default_backend(args.backend)
     if args.command in ("plan", "run"):
         if args.n is None:
             args.n = 4 * args.m

@@ -1,13 +1,14 @@
 """Resolution discipline.
 
-``repro.config`` is the single place where ``backend=`` / ``pool=`` /
-``machines=`` get their defaults (env vars, registered fallbacks,
-machine-spec parsing).  An entry point that hand-rolls its own default
-— ``backend = backend or "numpy"`` or ``if pool is None: pool =
-"serial"`` — silently diverges from ``REPRO_DEFAULT_*`` and from every
-other entry point the moment the central default moves.  Resolve
-through ``ExecutionSettings.resolve`` / ``resolve_backend`` /
-``resolve_pool`` / ``resolve_machines`` instead.
+``repro.config`` is the single place where a generator's ``backend=``
+and an executor's ``pool=`` / ``machines=`` get their defaults (env
+vars, registered fallbacks, machine-spec parsing).  An entry point that
+hand-rolls its own default — ``backend = backend or "numpy"`` or ``if
+pool is None: pool = "serial"`` — silently diverges from
+``REPRO_DEFAULT_*`` and from every other entry point the moment the
+central default moves.  Resolve through ``ExecutionSettings.resolve`` /
+``resolve_generator_backend`` / ``resolve_pool`` / ``resolve_machines``
+instead.
 """
 
 from __future__ import annotations

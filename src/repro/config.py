@@ -1,29 +1,22 @@
-"""The system-wide execution-backend switch.
+"""System-wide execution defaults and the per-run settings object.
 
-Every executor and generator in the package takes ``backend=None`` and
-resolves it here, so one module-level default decides whether the whole
-system runs columnar (``"numpy"``: vectorized routing, array payloads
-in the simulator, vectorized local joins) or tuple-at-a-time
-(``"tuples"``: the original, obviously-correct reference path).  The
-two are bit-identical in answers and per-server/per-round loads -- the
-property suites in ``tests/hypercube/test_backends.py`` and
-``tests/multiround/test_executor_backends.py`` enforce it -- so the
-default is the fast one, and the reference path stays one flag away::
+The package has one execution engine: columnar routing of whole
+relations as arrays, array payloads in the simulator and vectorized
+local joins.  What a run can still choose -- the worker pool, the
+machine model, the capacity cap and its overflow policy, the routing
+PRF and the streaming granularity -- is collected in
+:class:`ExecutionSettings` and resolved in one place
+(:meth:`ExecutionSettings.resolve`).  The pool and machine defaults are
+system-wide switches (:func:`set_default_pool` / :func:`use_pool`,
+:func:`set_default_machines` / :func:`use_machines`), seeded from the
+``REPRO_DEFAULT_POOL`` / ``REPRO_DEFAULT_MACHINES`` environment
+variables.
 
-    import repro
-    repro.set_default_backend("tuples")   # system-wide ground-truth mode
-    ...
-    repro.set_default_backend("numpy")    # back to fast-by-default
-
-Generators are deliberately *not* coupled to the execution switch:
-their two streams (``"python"`` / ``"numpy"``) draw different --
-equally distributed -- instances for the same seed, so if switching
-engines also switched the generator stream, regenerating the same
-database under ``set_default_backend("tuples")`` would silently change
-the data and masquerade as a backend bit-identity violation.  They
+Generators keep two streams (``"python"`` / ``"numpy"``), which draw
+different -- equally distributed -- instances for the same seed.  They
 default to the vectorized ``"numpy"`` stream
 (:data:`DEFAULT_GENERATOR_BACKEND`) and take an explicit ``backend=``
-per call.
+per call (:func:`resolve_generator_backend`).
 
 This module is a leaf: it imports nothing from :mod:`repro`, so any
 submodule may consult it without import cycles.
@@ -31,85 +24,18 @@ submodule may consult it without import cycles.
 
 from __future__ import annotations
 
-import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Literal
 
-logger = logging.getLogger("repro.config")
-
-Backend = Literal["tuples", "numpy"]
 GeneratorBackend = Literal["python", "numpy"]
 PoolKind = Literal["serial", "thread", "process"]
 
-#: The shipped default: columnar execution everywhere.
-DEFAULT_BACKEND: Backend = "numpy"
-
-#: The generator-stream default: vectorized draws, independent of the
-#: execution switch (see the module docstring for why).
+#: The generator-stream default: vectorized draws.
 DEFAULT_GENERATOR_BACKEND: GeneratorBackend = "numpy"
 
-_EXECUTION_BACKENDS = ("tuples", "numpy")
 _GENERATOR_BACKENDS = ("python", "numpy")
-
-_default_backend: Backend = DEFAULT_BACKEND
-
-
-def default_backend() -> Backend:
-    """The currently active system-wide execution backend."""
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> Backend:
-    """Set the system-wide default backend; returns the previous one.
-
-    Affects every executor and generator called with ``backend=None``
-    (the HyperCube driver, the skew-aware star/triangle algorithms, the
-    multi-round plan executor, and the matching/zipf generators).
-    """
-    global _default_backend
-    if backend not in _EXECUTION_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (expected one of {_EXECUTION_BACKENDS})"
-        )
-    previous = _default_backend
-    _default_backend = backend  # type: ignore[assignment]
-    return previous
-
-
-@contextmanager
-def use_backend(backend: str) -> Iterator[Backend]:
-    """Temporarily override the system-wide default backend.
-
-    The exception-safe form of :func:`set_default_backend` for scoped
-    overrides (tests, one ground-truth block inside a columnar
-    program)::
-
-        with repro.config.use_backend("tuples"):
-            reference = run_hypercube(q, db, p)   # tuple path
-        fast = run_hypercube(q, db, p)            # back to the default
-
-    Restores the previous default on exit even when the body raises.
-    Yields the backend now in force.
-    """
-    previous = set_default_backend(backend)
-    try:
-        yield _default_backend
-    finally:
-        set_default_backend(previous)
-
-
-def resolve_backend(backend: str | None) -> Backend:
-    """An explicit execution backend, or the system-wide default."""
-    if backend is None:
-        return _default_backend
-    if backend not in _EXECUTION_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (expected one of {_EXECUTION_BACKENDS})"
-        )
-    return backend  # type: ignore[return-value]
-
 
 _POOL_KINDS = ("serial", "thread", "process")
 
@@ -161,8 +87,7 @@ def set_default_pool(pool: str) -> PoolKind:
 def use_pool(pool: str) -> Iterator[PoolKind]:
     """Temporarily override the system-wide default pool kind.
 
-    The exception-safe scoped form of :func:`set_default_pool`, exactly
-    like :func:`use_backend` for the execution backend.
+    The exception-safe scoped form of :func:`set_default_pool`.
     """
     previous = set_default_pool(pool)
     try:
@@ -431,16 +356,15 @@ _OVERFLOW_MODES = ("fail", "drop")
 class ExecutionSettings:
     """The per-run execution knobs every executor shares.
 
-    One value object carries the five settings that used to be
-    copy-pasted (and to drift) across every executor signature:
-    the engine switch, the per-server per-round capacity cap and its
-    overflow policy, the routing PRF, and the streaming granularity.
-    :meth:`resolve` is the single place the backend/storage/chunk-size
-    interaction is decided; the executor cores receive an
-    already-resolved instance and never re-derive it.
+    One value object carries the settings that used to be copy-pasted
+    (and to drift) across every executor signature: the per-server
+    per-round capacity cap and its overflow policy, the routing PRF,
+    the streaming granularity, the worker pool and the machine model.
+    :meth:`resolve` is the single place their defaults are decided;
+    the executor cores receive an already-resolved instance and never
+    re-derive it.
     """
 
-    backend: Backend | None = None
     capacity_bits: float | None = None
     on_overflow: Literal["fail", "drop"] = "fail"
     hash_method: str = "splitmix64"
@@ -453,11 +377,6 @@ class ExecutionSettings:
         if self.machines is not None and not isinstance(self.machines, MachineSpec):
             raise TypeError(
                 f"machines must be a MachineSpec or None, got {self.machines!r}"
-            )
-        if self.backend is not None and self.backend not in _EXECUTION_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected one of {_EXECUTION_BACKENDS})"
             )
         if self.on_overflow not in _OVERFLOW_MODES:
             raise ValueError("on_overflow must be 'fail' or 'drop'")
@@ -479,54 +398,30 @@ class ExecutionSettings:
     def resolve(
         self, storage: object | None = None, p: int | None = None
     ) -> "ExecutionSettings":
-        """A copy with backend, chunk granularity, pool and machines pinned.
+        """A copy with chunk granularity, pool and machines pinned.
 
-        ``backend=None`` resolves to the system-wide default
-        (:func:`default_backend`); an attached storage manager demands
-        the columnar engine and supplies its own ``chunk_rows`` when
-        the caller gave none.  ``pool=None`` resolves to the
-        system-wide default (:func:`default_pool`); the tuple backend
-        has no vectorized per-server task bodies to fan out, so it
-        always resolves to the serial pool.  ``machines=None`` resolves
-        to the system-wide pattern cycled to ``p``
+        An attached storage manager supplies its own ``chunk_rows``
+        when the caller gave none.  ``pool=None`` resolves to the
+        system-wide default (:func:`default_pool`).  ``machines=None``
+        resolves to the system-wide pattern cycled to ``p``
         (:func:`resolve_machines`); an explicit spec must match ``p``.
         This is the one shared resolution step behind
         ``run_hypercube``/``run_star_skew``/``run_triangle_skew``/
         ``run_plan`` and :meth:`repro.session.Session.run`.
         """
-        backend = resolve_backend(self.backend)
-        if storage is not None and backend != "numpy":
-            raise ValueError(
-                "out-of-core execution (storage=...) requires the numpy "
-                "backend"
-            )
         chunk_rows = self.chunk_rows
         if chunk_rows is None and storage is not None:
             chunk_rows = storage.chunk_rows  # type: ignore[attr-defined]
-        pool = resolve_pool(self.pool)
-        if backend != "numpy" and pool != "serial":
-            # Warn only when the caller asked for parallelism by name;
-            # a defaulted pool silently resolving serial is expected.
-            if self.pool is not None:
-                logger.warning(
-                    "the %s backend has no vectorized task bodies; "
-                    "forcing pool=%r to 'serial'", backend, pool,
-                )
-            pool = "serial"
-        machines = resolve_machines(self.machines, p)
         return replace(
-            self, backend=backend, chunk_rows=chunk_rows, pool=pool,
-            machines=machines,
+            self,
+            chunk_rows=chunk_rows,
+            pool=resolve_pool(self.pool),
+            machines=resolve_machines(self.machines, p),
         )
 
 
 def resolve_generator_backend(backend: str | None) -> GeneratorBackend:
-    """An explicit generator stream, or :data:`DEFAULT_GENERATOR_BACKEND`.
-
-    Deliberately independent of :func:`set_default_backend`: the
-    streams draw different instances per seed, and the same database
-    must be reproducible regardless of the execution engine.
-    """
+    """An explicit generator stream, or :data:`DEFAULT_GENERATOR_BACKEND`."""
     if backend is None:
         return DEFAULT_GENERATOR_BACKEND
     if backend not in _GENERATOR_BACKENDS:

@@ -3,7 +3,7 @@
 ``np.unique(..., axis=0)`` sorts through a void-dtype view, which is
 several times slower than a key-wise ``lexsort`` for the narrow int64
 arrays relations are made of.  These helpers provide the two row
-operations the columnar backend needs -- canonical deduplication and
+operations the columnar engine needs -- canonical deduplication and
 dictionary encoding -- built on ``lexsort``, with a fast 1-column path.
 
 All functions order rows lexicographically (first column primary),

@@ -10,18 +10,14 @@ tuple ``(a_1, ..., a_k)`` the server ``(h_1(a_1), ..., h_k(a_k))``
 receives every base tuple consistent with it, so the union of local
 join results is exactly ``q(I)``.
 
-Two execution backends share this driver:
+Communication is columnar: whole relations are routed as ``(n, arity)``
+arrays (all destination coordinates per column in one vectorized hash,
+replication axes expanded by broadcasting, grouping by server via
+``argsort``), and each server joins its fragments with the vectorized
+local join.  ``tests/hypercube/test_backends.py`` checks answers and
+per-server loads against a scalar tuple-at-a-time oracle.
 
-* ``backend="tuples"`` routes and joins one Python tuple at a time --
-  the original, obviously-correct reference path.
-* ``backend="numpy"`` routes whole relations as ``(n, arity)`` arrays
-  (all destination coordinates per column in one vectorized hash,
-  replication axes expanded by broadcasting, grouping by server via
-  ``argsort``) and runs the vectorized local join.  It produces
-  bit-identical answers and loads; the property tests in
-  ``tests/hypercube/test_backends.py`` enforce that.
-
-The columnar backend additionally streams: with ``chunk_rows`` (or a
+Execution also streams: with ``chunk_rows`` (or a
 :class:`~repro.storage.manager.StorageManager` via ``storage=``)
 relations are routed chunk-by-chunk through the same vectorized router,
 per-server fragments accumulate in disk-spilling spools, and each
@@ -252,7 +248,6 @@ def run_hypercube(
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
     skip_local_join: bool = False,
-    backend: Literal["tuples", "numpy"] | None = None,
     hash_method: HashMethod = "splitmix64",
     storage: StorageManager | None = None,
     chunk_rows: int | None = None,
@@ -269,14 +264,9 @@ def run_hypercube(
     ``skip_local_join`` skips the computation phase when only the
     communication loads are of interest.
 
-    ``backend`` selects the execution engine: ``"tuples"`` (the
-    reference tuple-at-a-time path) or ``"numpy"`` (columnar, ~10-100x
-    faster on large inputs, identical answers and loads); ``None``
-    follows the system-wide default
-    (:func:`repro.config.set_default_backend`).  ``hash_method``
-    selects the routing PRF for either backend.
+    ``hash_method`` selects the routing PRF.
 
-    ``storage`` switches the columnar backend to out-of-core mode:
+    ``storage`` switches to out-of-core mode:
     relations stream through the router chunk-by-chunk, received
     fragments spill to the manager's chunked spools, answers spill to
     output spools, and each server's fragment is freed right after its
@@ -304,7 +294,8 @@ def run_hypercube(
 
     This is a thin delegating wrapper: the actual execution flows
     through the shared run path of :mod:`repro.session`, which resolves
-    the backend/storage/chunk-size interaction once for every executor.
+    the storage/chunk-size/pool/machines defaults once for every
+    executor.
     """
     from repro.session import dispatch_run
 
@@ -316,7 +307,6 @@ def run_hypercube(
         seed=seed,
         storage=storage,
         settings=ExecutionSettings(
-            backend=backend,
             capacity_bits=capacity_bits,
             on_overflow=on_overflow,
             hash_method=hash_method,
@@ -344,7 +334,6 @@ def _hypercube_impl(
     skip_local_join: bool = False,
 ) -> HyperCubeResult:
     """The HyperCube core; ``settings`` arrives already resolved."""
-    backend = settings.backend
     chunk_rows = settings.chunk_rows
     timer = PhaseTimer()
     pool = get_pool(settings.pool, settings.max_workers)
@@ -375,65 +364,23 @@ def _hypercube_impl(
         timer=timer,
         machines=settings.machines,
     )
-    if backend == "numpy":
-        _communicate_arrays(
-            query,
-            database,
-            dimension_variables,
-            tuple(resolved[v] for v in dimension_variables),
-            seed,
-            settings.hash_method,
-            sim,
-            chunk_rows,
-            pool,
-            timer,
-            weights=grid_weights,
-        )
-    else:
-        with timer.phase("route"):
-            _communicate_tuples(
-                query, database, partitioner, dimension_variables, sim
-            )
-
+    _communicate_arrays(
+        query,
+        database,
+        dimension_variables,
+        tuple(resolved[v] for v in dimension_variables),
+        seed,
+        settings.hash_method,
+        sim,
+        chunk_rows,
+        pool,
+        timer,
+        weights=grid_weights,
+    )
     if not skip_local_join:
-        if backend == "numpy":
-            _local_joins_arrays(query, partitioner, sim, pool, timer)
-        else:
-            with timer.phase("join"):
-                for server in range(partitioner.num_bins):
-                    local = evaluate_on_fragments(query, sim.state(server))
-                    if local:
-                        sim.output(server, local)
+        _local_joins_arrays(query, partitioner, sim, pool, timer)
     timer.attach(sim.report)
     return HyperCubeResult(query, None, resolved, sim.report, sim)
-
-
-def _communicate_tuples(
-    query: ConjunctiveQuery,
-    database: Database,
-    partitioner: GridPartitioner,
-    dimension_variables: Sequence[str],
-    sim: MPCSimulation,
-) -> None:
-    """The communication phase, one tuple at a time.
-
-    Tuples are routed in canonical (lexicographic) order -- the same
-    order the columnar backend's sorted arrays use -- so that even a
-    binding ``capacity_bits`` cap with ``on_overflow="drop"`` truncates
-    the identical per-server prefix on both backends.
-    """
-    sim.begin_round()
-    for atom in query.atoms:
-        relation = database[atom.relation]
-        batches: dict[int, list[tuple[int, ...]]] = {}
-        for server, t in route_relation(
-            partitioner, dimension_variables, atom.variables,
-            relation.sorted_tuples(),
-        ):
-            batches.setdefault(server, []).append(t)
-        for server, batch in batches.items():
-            sim.send(server, atom.relation, batch)
-    sim.end_round()
 
 
 def _communicate_arrays(

@@ -62,7 +62,6 @@ def run_parallel_hash_join(
     seed: int = 0,
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
-    backend: Literal["tuples", "numpy"] | None = None,
     hash_method: str = "splitmix64",
 ) -> HyperCubeResult:
     """Hash-partition every relation on shared join variable(s).
@@ -89,7 +88,7 @@ def run_parallel_hash_join(
     result = run_hypercube(
         query, database, p, exponents=exponents, seed=seed,
         capacity_bits=capacity_bits, on_overflow=on_overflow,
-        backend=backend, hash_method=hash_method,
+        hash_method=hash_method,
     )
     result.strategy = "hash-join"
     return result

@@ -1,6 +1,6 @@
 """Vectorized multiway join over columnar (ndarray) fragments.
 
-The columnar execution backend's local computation phase: evaluate a
+The columnar engine's local computation phase: evaluate a
 full conjunctive query over ``(n, arity)`` integer arrays keyed by
 relation name, entirely with NumPy primitives.  The plan is a greedy
 left-deep sequence of binary hash joins -- each step joins the running
@@ -16,8 +16,8 @@ the standard sort-based vectorization of a hash join (O(n log n), no
 Python-level per-tuple work).
 
 Queries the vectorized planner cannot handle raise
-:class:`UnsupportedVectorizedQuery`; callers (the HyperCube columnar
-backend) fall back to the backtracking join of
+:class:`UnsupportedVectorizedQuery`; callers (the executors' local
+joins) fall back to the backtracking join of
 :mod:`repro.join.multiway` for those.
 """
 

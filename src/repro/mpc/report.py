@@ -81,7 +81,7 @@ class LoadReport:
     #: (``generate``/``route``/``ship``/``join``/``merge``), attached by
     #: the instrumented executors via
     #: :meth:`repro.mpc.timing.PhaseTimer.attach`.  Empty when the
-    #: executor does not instrument (the tuple-backend baselines).
+    #: executor does not instrument (the in-memory baselines).
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Exclusive *bits delivered* per execution phase -- the
     #: communication-volume twin of :attr:`phase_seconds`, accounted by

@@ -91,7 +91,7 @@ class LoadExceededError(RuntimeError):
 class ServerState:
     """What one server has stored so far: tag -> set of tuples.
 
-    The columnar backend stores received batches as arrays instead
+    The columnar executors store received batches as arrays instead
     (``array_fragments``); :meth:`array_fragment` canonicalizes them
     into one deduplicated ``(n, arity)`` array per tag.  Both stores
     share the same bit accounting at delivery time.  With a storage

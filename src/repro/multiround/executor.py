@@ -17,33 +17,27 @@ operator, never to the bare relation, so two same-round operators
 reading the same base relation or view keep their differently-routed
 fragments apart on every server.
 
-Two execution backends share the driver (``backend=None`` follows
-:func:`repro.config.default_backend`):
-
-* ``backend="tuples"`` routes and joins one Python tuple at a time --
-  the original reference path and the repo's ground truth.
-* ``backend="numpy"`` keeps every intermediate view as one
-  ``(n, arity)`` int64 array per server between rounds, routes base
-  relations and view fragments with
-  :func:`~repro.hypercube.algorithm.route_relation_arrays`, ships array
-  payloads through :meth:`MPCSimulation.send_array` (identical bit
-  accounting), and joins each server's fragments with the vectorized
-  evaluator.  Answers and per-server/per-round loads are bit-identical
-  to the tuple path; ``tests/multiround/test_executor_backends.py``
-  enforces it.
+Execution is columnar: every intermediate view stays one
+``(n, arity)`` int64 array per server between rounds, base relations
+and view fragments are routed with
+:func:`~repro.hypercube.algorithm.route_relation_arrays`, array
+payloads travel through :meth:`MPCSimulation.send_array`, and each
+server's fragments are joined with the vectorized evaluator.
+``tests/multiround/test_executor_backends.py`` checks answers,
+per-server loads and every view fragment against a scalar
+tuple-at-a-time oracle.
 
 ``capacity_bits`` imposes the same hard per-server per-round cap ``L``
 that :func:`~repro.hypercube.algorithm.run_hypercube` supports: every
-round of the plan enforces it, and because both backends (and the
-chunked path) route each relation and view in canonical row order, a
-binding cap with ``on_overflow="drop"`` truncates the identical
-per-server prefix everywhere -- dropped tuples then propagate
-identically through later rounds.
+round of the plan enforces it, and because every relation and view is
+routed in canonical row order (chunked or not), a binding cap with
+``on_overflow="drop"`` truncates a deterministic per-server prefix --
+dropped tuples then propagate identically through later rounds.
 
-``storage`` switches the columnar backend to out-of-core mode: base
-relations and view fragments stream through the router chunk-by-chunk,
-delivered fragments spill to per-server chunked spools, and the
-inter-round views themselves are kept as
+``storage`` switches to out-of-core mode: base relations and view
+fragments stream through the router chunk-by-chunk, delivered
+fragments spill to per-server chunked spools, and the inter-round
+views themselves are kept as
 :class:`~repro.storage.chunked.ChunkedRelation` spools -- so an
 intermediate blow-up spills to disk instead of pinning RAM, and views
 past their last consumer delete their spill files eagerly.
@@ -68,9 +62,7 @@ from repro.hashing.family import (
     derive_seed,
     grid_dimension_weights,
 )
-from repro.hypercube.algorithm import route_relation
 from repro.join.binary import reorder
-from repro.join.multiway import evaluate_on_fragments
 from repro.mpc.report import LoadReport
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
@@ -95,12 +87,12 @@ class MultiRoundResult:
     ``answers_array`` exposes the columnar form directly.
 
     ``view_fragments`` maps plan-node names to their per-server result
-    fragments in node-schema order (tuple sets on the tuple backend,
-    ``(n, arity)`` arrays on the columnar one).  By default only the
-    root's fragments are retained -- holding every intermediate view of
-    a large columnar run alive would pin all of its memory to the
-    result object; ``run_plan(..., keep_view_fragments=True)`` keeps
-    them all (tests use this to pin down per-operator routing).
+    fragments in node-schema order (``(n, arity)`` arrays, or chunked
+    spools in out-of-core mode).  By default only the root's fragments
+    are retained -- holding every intermediate view of a large run
+    alive would pin all of its memory to the result object;
+    ``run_plan(..., keep_view_fragments=True)`` keeps them all (tests
+    use this to pin down per-operator routing).
 
     Satisfies the :class:`repro.session.RunResult` protocol, so plan
     executions interchange with every other executor's result.
@@ -166,7 +158,6 @@ def run_plan(
     database: Database,
     p: int,
     seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
     keep_view_fragments: bool = False,
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
@@ -182,9 +173,6 @@ def run_plan(
 
     The final answers are reordered to the plan query's head order, so
     results compare directly against the sequential evaluator.
-    ``backend`` selects the execution engine (``None``: the system
-    default, see :func:`repro.config.set_default_backend`); both
-    backends produce bit-identical answers and loads.
     ``keep_view_fragments`` retains every intermediate view's
     per-server fragments on the result (default: root only).
 
@@ -192,10 +180,10 @@ def run_plan(
     per-round cap ``L`` to every round of the plan --
     ``on_overflow="fail"`` raises
     :class:`~repro.mpc.simulator.LoadExceededError`, ``"drop"``
-    truncates the same canonical per-server prefix under every backend.
-    ``storage`` (numpy backend only) spools delivered fragments and
-    inter-round views to disk-backed chunks; ``chunk_rows`` sets the
-    routing granularity (defaults to the manager's).  Lazy result
+    truncates the same canonical per-server prefix.  ``storage``
+    spools delivered fragments and inter-round views to disk-backed
+    chunks; ``chunk_rows`` sets the routing granularity (defaults to
+    the manager's).  Lazy result
     accessors (``answers``, ``answers_array()``) read the spooled
     outputs, so materialize them *before* closing the manager.
 
@@ -223,7 +211,6 @@ def run_plan(
         seed=seed,
         storage=storage,
         settings=ExecutionSettings(
-            backend=backend,
             capacity_bits=capacity_bits,
             on_overflow=on_overflow,
             hash_method=hash_method,
@@ -249,7 +236,6 @@ def _multiround_impl(
     keep_view_fragments: bool = False,
 ) -> MultiRoundResult:
     """The plan-execution core; ``settings`` arrives already resolved."""
-    backend = settings.backend
     chunk_rows = settings.chunk_rows
     timer = PhaseTimer()
     pool = get_pool(settings.pool, settings.max_workers)
@@ -294,7 +280,7 @@ def _multiround_impl(
                     last_consumed[child.name] = max(
                         last_consumed.get(child.name, 0), node_depth
                     )
-    # view name -> per-server fragments (tuple sets or (n, arity) arrays)
+    # view name -> per-server fragments ((n, arity) arrays or spools)
     produced: dict[str, list] = {}
     schema_of: dict[str, tuple[str, ...]] = {}
 
@@ -327,78 +313,46 @@ def _multiround_impl(
                     ),
                 )
         sim.begin_round()
-        if backend == "numpy":
-            # One task per (node, child, fragment, chunk), in the exact
-            # nested order of the serial loop; results merge in task
-            # order, so every send replays the serial sequence.  Tags
-            # are namespaced by the consuming node: two same-round
-            # operators reading the same input route it under different
-            # grids and must not share server state.
-            def round_tasks(nodes=nodes):
-                for node in nodes:
-                    operator = node.operator
-                    grid = grids[node.name]
-                    for child in node.children:
-                        if isinstance(child, Atom):
-                            name = child.relation
-                            child_schema = child.variables
-                            sources = [database[child.relation]]
-                        else:
-                            name = child.name
-                            child_schema = schema_of[child.name]
-                            sources = produced[child.name]
-                        for fragment in sources:
-                            for source in iter_array_sources(
-                                fragment, chunk_rows
-                            ):
-                                yield RouteTask(
-                                    tag=f"{node.name}/{name}",
-                                    source=source,
-                                    dimension_variables=tuple(
-                                        operator.variables
-                                    ),
-                                    atom_variables=tuple(child_schema),
-                                    shares=tuple(grid.shares),
-                                    family_seed=derive_seed(
-                                        seed, _stable_salt(node.name)
-                                    ),
-                                    hash_method=settings.hash_method,
-                                    weights=grid.weights,
-                                )
+        # One task per (node, child, fragment, chunk), in the exact
+        # nested order of the serial loop; results merge in task
+        # order, so every send replays the serial sequence.  Tags
+        # are namespaced by the consuming node: two same-round
+        # operators reading the same input route it under different
+        # grids and must not share server state.
+        def round_tasks(nodes=nodes):
+            for node in nodes:
+                operator = node.operator
+                grid = grids[node.name]
+                for child in node.children:
+                    if isinstance(child, Atom):
+                        name = child.relation
+                        child_schema = child.variables
+                        sources = [database[child.relation]]
+                    else:
+                        name = child.name
+                        child_schema = schema_of[child.name]
+                        sources = produced[child.name]
+                    for fragment in sources:
+                        for source in iter_array_sources(
+                            fragment, chunk_rows
+                        ):
+                            yield RouteTask(
+                                tag=f"{node.name}/{name}",
+                                source=source,
+                                dimension_variables=tuple(
+                                    operator.variables
+                                ),
+                                atom_variables=tuple(child_schema),
+                                shares=tuple(grid.shares),
+                                family_seed=derive_seed(
+                                    seed, _stable_salt(node.name)
+                                ),
+                                hash_method=settings.hash_method,
+                                weights=grid.weights,
+                            )
 
-            with timer.phase("route"):
-                route_over_pool(pool, sim, round_tasks(), timer)
-        else:
-            with timer.phase("route"):
-                for node in nodes:
-                    operator = node.operator
-                    grid = grids[node.name]
-                    for child in node.children:
-                        if isinstance(child, Atom):
-                            name = child.relation
-                            child_schema = child.variables
-                            # Canonical order, so a binding capacity
-                            # cap truncates the same per-server prefix
-                            # as the columnar (sorted-array) path.
-                            sources = [
-                                database[child.relation].sorted_tuples()
-                            ]
-                        else:
-                            name = child.name
-                            child_schema = schema_of[child.name]
-                            sources = [
-                                sorted(chunk)
-                                for chunk in produced[child.name]
-                            ]
-                        tag = f"{node.name}/{name}"
-                        batches: dict[int, list[tuple[int, ...]]] = {}
-                        for source in sources:
-                            for server, t in route_relation(
-                                grid, operator.variables, child_schema, source
-                            ):
-                                batches.setdefault(server, []).append(t)
-                        for server, batch in batches.items():
-                            sim.send(server, tag, batch)
+        with timer.phase("route"):
+            route_over_pool(pool, sim, round_tasks(), timer)
         sim.end_round()
 
         # Computation phase: evaluate each operator on every server of
@@ -409,54 +363,38 @@ def _multiround_impl(
             width = len(operator.variables)
             prefix = f"{node.name}/"
             fragments: list = []
-            if backend == "numpy":
-                # Per-server joins fan out over the pool; fragments are
-                # collected (and spooled) in server order on the parent.
-                # No per-server clear: same-round operators share
-                # servers, so delivered fragments are freed only after
-                # every node's joins (sim.clear_all below).
-                def collect(server: int, local, node=node, width=width,
-                            fragments=fragments):
-                    if local is None:
-                        local = np.empty((0, width), dtype=np.int64)
-                    if storage is not None:
-                        # Inter-round views spill too: an intermediate
-                        # blow-up lands on disk, not in RAM.
-                        spool = storage.spool(
-                            f"{node.name}-s{server}", width
-                        )
-                        spool.append(local)
-                        fragments.append(spool)
-                    else:
-                        fragments.append(local)
-
-                with timer.phase("join"):
-                    join_over_pool(
-                        pool,
-                        sim,
-                        operator,
-                        range(grids[node.name].num_bins),
-                        prefix=prefix,
-                        timer=timer,
-                        on_result=collect,
+            # Per-server joins fan out over the pool; fragments are
+            # collected (and spooled) in server order on the parent.
+            # No per-server clear: same-round operators share
+            # servers, so delivered fragments are freed only after
+            # every node's joins (sim.clear_all below).
+            def collect(server: int, local, node=node, width=width,
+                        fragments=fragments):
+                if local is None:
+                    local = np.empty((0, width), dtype=np.int64)
+                if storage is not None:
+                    # Inter-round views spill too: an intermediate
+                    # blow-up lands on disk, not in RAM.
+                    spool = storage.spool(
+                        f"{node.name}-s{server}", width
                     )
-            else:
-                with timer.phase("join"):
-                    for server in range(grids[node.name].num_bins):
-                        state = sim.state(server)
-                        local_inputs = {
-                            tag[len(prefix):]: tuples
-                            for tag, tuples in state.items()
-                            if tag.startswith(prefix)
-                        }
-                        fragments.append(
-                            evaluate_on_fragments(operator, local_inputs)
-                        )
-            if backend == "numpy":
-                empty = np.empty((0, width), dtype=np.int64)
-                fragments += [empty] * (p - len(fragments))
-            else:
-                fragments += [set()] * (p - len(fragments))
+                    spool.append(local)
+                    fragments.append(spool)
+                else:
+                    fragments.append(local)
+
+            with timer.phase("join"):
+                join_over_pool(
+                    pool,
+                    sim,
+                    operator,
+                    range(grids[node.name].num_bins),
+                    prefix=prefix,
+                    timer=timer,
+                    on_result=collect,
+                )
+            empty = np.empty((0, width), dtype=np.int64)
+            fragments += [empty] * (p - len(fragments))
             produced[node.name] = fragments
             schema_of[node.name] = operator.variables
         # Free delivered fragments: the next round re-routes views anyway.
@@ -480,10 +418,8 @@ def _multiround_impl(
             # The root view already lives in manager-owned spools;
             # adopting them avoids re-spilling the whole result.
             sim.adopt_output_spool(server, chunk)
-        elif backend == "numpy":
-            sim.output_array(server, chunk)
         else:
-            sim.output(server, chunk)
+            sim.output_array(server, chunk)
     retained = (
         produced if keep_view_fragments else {root.name: produced[root.name]}
     )

@@ -153,15 +153,15 @@ def execute(
     exact frequency scan, whose per-value counters would themselves
     blow the budget at out-of-core scales (pass ``stats`` explicitly
     to override).  A winner that cannot stream (its
-    :meth:`~repro.planner.strategies.Strategy.streams` is false, e.g.
-    a pinned ``-tuples`` twin or an in-memory baseline) runs without
-    the manager, which is closed and *not* attached -- callers can
+    :attr:`~repro.planner.strategies.Strategy.streams` is false: an
+    in-memory baseline) runs without the manager, which is closed and
+    *not* attached -- callers can
     tell from ``.storage is None`` that the budget was not enforced.
     The attached manager cleans up on garbage collection or an
     explicit ``close()``.
 
     Passing an explicit ``storage`` *demands* chunked execution: if the
-    chosen strategy cannot stream (``streams()`` is false), the engine
+    chosen strategy cannot stream (``streams`` is false), the engine
     raises ``ValueError`` rather than silently ignoring the caller's
     memory constraint -- unless ``storage_optional=True``, which runs
     the winner in memory instead and reports ``budget_outcome =
@@ -171,7 +171,7 @@ def execute(
     the caller.)
 
     ``settings`` threads a :class:`~repro.config.ExecutionSettings`
-    (backend, capacity cap, hash method, chunk granularity) into
+    (capacity cap, hash method, chunk granularity, pool, machines) into
     whichever strategy runs; ``shares``/``exponents``/``hitters``/
     ``plan`` are per-run overrides forwarded to strategies that accept
     them (pinning e.g. ``strategy="hypercube", shares={...}``) and
@@ -210,15 +210,14 @@ def execute(
                     f"strategy {strategy!r} is not applicable here: "
                     f"{candidate.reason}"
                 )
-        if storage is not None and not candidate.strategy.streams(settings):
+        if storage is not None and not candidate.strategy.streams:
             if owned is None and not storage_optional:
                 # The caller demanded chunked execution; refusing is
                 # better than silently dropping a memory constraint.
                 raise ValueError(
                     f"strategy {candidate.name!r} cannot stream through "
-                    "a storage manager (tuple backend or in-memory "
-                    "baseline); pick a streaming strategy or use "
-                    "memory_budget_bytes"
+                    "a storage manager (in-memory baseline); pick a "
+                    "streaming strategy or use memory_budget_bytes"
                 )
             # The budget-opened manager would be ignored: run
             # in-memory and report that honestly via .storage = None.

@@ -130,7 +130,10 @@ class ExplainedPlan:
         for c in self.candidates:
             if c.name == name:
                 return c
-        raise KeyError(f"no strategy named {name!r} in this plan")
+        known = ", ".join(c.name for c in self.candidates)
+        raise KeyError(
+            f"no strategy named {name!r} in this plan (known: {known})"
+        )
 
     def table(self) -> str:
         """The EXPLAIN cost table, ready to print."""

@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.config import ExecutionSettings, resolve_backend, resolve_machines
+from repro.config import ExecutionSettings, resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hypercube.algorithm import run_hypercube
@@ -57,11 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 OVERRIDE_KEYS = ("shares", "exponents", "hitters", "plan")
 
 
-# One plan() pass prices the bare "hypercube"/"multiround" strategies
-# and their pinned -tuples/-numpy twins; the twins share one cost model
-# (the backends are bit-identical), so the expensive estimation work --
-# plan enumeration + per-round costing, share-LP solves -- is shared
-# through a per-DataStatistics memo instead of repeated per twin.  The
+# The expensive estimation work -- plan enumeration + per-round
+# costing, share-LP solves -- is memoized per DataStatistics object.
+# Callers that plan many runs over one statistics object (a workload
+# supplying the same stats on every op) price each strategy once, and
+# MultiRoundPlan reuses best_plan between estimate() and _run().  The
 # cache evicts itself when the statistics object is garbage-collected.
 _ESTIMATE_CACHE: dict[int, dict] = {}
 
@@ -77,21 +77,6 @@ def _memoized(dstats, key, compute):
     if key not in bucket:
         bucket[key] = compute()
     return bucket[key]
-
-
-def _effective_backend(
-    pinned: str | None, settings: ExecutionSettings | None
-) -> str | None:
-    """A strategy's engine: its pinned backend, else the settings' one.
-
-    ``None`` falls through to the system-wide default at resolution
-    time, so bare strategies keep following
-    :func:`repro.config.set_default_backend` unless a session
-    configuration says otherwise.
-    """
-    if pinned is not None:
-        return pinned
-    return settings.backend if settings is not None else None
 
 
 def _settings_kwargs(settings: ExecutionSettings) -> dict:
@@ -152,6 +137,12 @@ class Strategy:
     #: The :data:`OVERRIDE_KEYS` this strategy threads into its
     #: executor; anything else passed to :meth:`run` raises.
     supported_overrides: frozenset[str] = frozenset()
+    #: Whether :meth:`run` honors a storage manager: true for the
+    #: columnar executors, false for the in-memory baselines.  The
+    #: planner engine consults this to avoid opening a spill directory
+    #: no one will use -- and to report honestly that a memory budget
+    #: could not be enforced.
+    streams: bool = False
 
     def applicable(
         self, query: ConjunctiveQuery, dstats: DataStatistics, p: int
@@ -191,14 +182,14 @@ class Strategy:
         them in, so strategies that can reuse them (multiround plan
         choice, star/triangle hitter statistics) skip a second scan.
         ``storage`` requests out-of-core execution; strategies whose
-        executor streams (hypercube, skew star/triangle, multiround on
-        a columnar backend) forward it, the in-memory baselines accept
-        and ignore it -- :meth:`streams` tells callers which case they
-        are in before running.
+        executor streams (hypercube, skew star/triangle, multiround)
+        forward it, the in-memory baselines accept and ignore it --
+        :attr:`streams` tells callers which case they are in before
+        running.
 
         ``settings`` carries the shared execution knobs
-        (:class:`~repro.config.ExecutionSettings`: backend, capacity
-        cap, hash method, chunk granularity); every strategy threads
+        (:class:`~repro.config.ExecutionSettings`: capacity cap, hash
+        method, chunk granularity, pool, machines); every strategy threads
         them into its executor, so a :class:`repro.session.Session`'s
         cluster configuration applies uniformly no matter which
         strategy wins.  ``overrides`` accepts the per-run knobs of
@@ -249,39 +240,17 @@ class Strategy:
     ) -> StrategyOutcome:
         raise NotImplementedError
 
-    def streams(self, settings: ExecutionSettings | None = None) -> bool:
-        """Whether :meth:`run` would honor a storage manager right now.
-
-        Depends on the resolved backend for the backend-switchable
-        strategies (the tuple path cannot stream chunks); a pinned
-        per-strategy backend wins, then ``settings.backend``, then the
-        system-wide default.  The planner engine consults this to avoid
-        opening a spill directory no one will use -- and to report
-        honestly that a memory budget could not be enforced."""
-        return False
-
     def __repr__(self) -> str:
         return f"<Strategy {self.name}>"
 
 
 class OneRoundHyperCube(Strategy):
-    """Vanilla HyperCube with LP (10) shares (Section 3.1).
+    """Vanilla HyperCube with LP (10) shares (Section 3.1)."""
 
-    ``backend=None`` (the bare ``"hypercube"`` strategy) follows the
-    system-wide default backend; the explicit ``hypercube-tuples`` /
-    ``hypercube-numpy`` twins pin one engine for ablations.  All three
-    are bit-identical in answers and loads.
-    """
-
+    name = "hypercube"
+    summary = "one-round HyperCube, LP(10) shares"
     supported_overrides = frozenset({"shares", "exponents"})
-
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
-        self.name = "hypercube" if backend is None else f"hypercube-{backend}"
-        self.summary = (
-            "one-round HyperCube, LP(10) shares"
-            + (", default backend" if backend is None else f", {backend} backend")
-        )
+    streams = True
 
     def estimate(self, query, dstats, p, machines=None):
         return _memoized(
@@ -294,16 +263,11 @@ class OneRoundHyperCube(Strategy):
              shares=None, exponents=None):
         result = run_hypercube(
             query, database, p, shares=shares, exponents=exponents,
-            seed=seed, backend=_effective_backend(self.backend, settings),
-            storage=storage if self.streams(settings) else None,
-            **_settings_kwargs(settings),
+            seed=seed, storage=storage, **_settings_kwargs(settings),
         )
         return StrategyOutcome(
             self.name, lambda: result.answers, result.report, p, result
         )
-
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(self.backend, settings)) == "numpy"
 
 
 class SkewObliviousHyperCube(Strategy):
@@ -311,19 +275,16 @@ class SkewObliviousHyperCube(Strategy):
 
     name = "skew-oblivious"
     summary = "HyperCube, LP(18) worst-case-skew shares"
+    streams = True
 
     def estimate(self, query, dstats, p, machines=None):
         return hypercube_cost(
             query, dstats, p, skew_oblivious=True, machines=machines
         )
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
-
     def _run(self, query, database, p, seed, dstats, storage, settings):
         result = run_skew_oblivious_hypercube(
-            query, database, p, seed=seed, backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            query, database, p, seed=seed, storage=storage,
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -337,6 +298,7 @@ class SkewAwareStar(Strategy):
     name = "skew-star"
     summary = "skew-aware star algorithm, Eq. (20) load"
     supported_overrides = frozenset({"hitters"})
+    streams = True
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -351,17 +313,12 @@ class SkewAwareStar(Strategy):
     def estimate(self, query, dstats, p, machines=None):
         return star_cost(query, dstats, p, machines=machines)
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
-
     def _run(self, query, database, p, seed, dstats, storage, settings,
              hitters=None):
         if hitters is None and dstats is not None:
             hitters = dstats.hitters.get(star_center(query))
         result = run_star_skew(
-            query, database, p, seed=seed, hitters=hitters,
-            backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            query, database, p, seed=seed, hitters=hitters, storage=storage,
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -375,6 +332,7 @@ class SkewAwareTriangle(Strategy):
     name = "skew-triangle"
     summary = "skew-aware triangle algorithm (Section 4.2.2)"
     supported_overrides = frozenset({"hitters"})
+    streams = True
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -386,9 +344,6 @@ class SkewAwareTriangle(Strategy):
 
     def estimate(self, query, dstats, p, machines=None):
         return triangle_cost(query, dstats, p, machines=machines)
-
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
 
     def _run(self, query, database, p, seed, dstats, storage, settings,
              hitters=None):
@@ -403,9 +358,7 @@ class SkewAwareTriangle(Strategy):
             # estimates, so the executor re-scans exactly instead.
             hitters = dstats.hitters
         result = run_triangle_skew(
-            database, p, seed=seed, hitters=hitters,
-            backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            database, p, seed=seed, hitters=hitters, storage=storage,
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -414,24 +367,12 @@ class SkewAwareTriangle(Strategy):
 
 
 class MultiRoundPlan(Strategy):
-    """The cheapest enumerated query plan, run round by round (Section 5).
+    """The cheapest enumerated query plan, run round by round (Section 5)."""
 
-    ``backend=None`` (the bare ``"multiround"`` strategy) follows the
-    system-wide default backend of
-    :func:`~repro.multiround.executor.run_plan`; ``multiround-tuples``
-    / ``multiround-numpy`` pin one engine.  Cost estimates are shared:
-    the model prices bits, and the backends are bit-identical.
-    """
-
+    name = "multiround"
+    summary = "multi-round query plan (Proposition 5.1)"
     supported_overrides = frozenset({"plan"})
-
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
-        self.name = "multiround" if backend is None else f"multiround-{backend}"
-        self.summary = (
-            "multi-round query plan (Proposition 5.1)"
-            + ("" if backend is None else f", {backend} backend")
-        )
+    streams = True
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -440,9 +381,6 @@ class MultiRoundPlan(Strategy):
         if not candidate_plans(query):
             return "no candidate plan (disconnected query)"
         return None
-
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(self.backend, settings)) == "numpy"
 
     def best_plan(
         self,
@@ -498,9 +436,7 @@ class MultiRoundPlan(Strategy):
                 f"not {query.name or query!r}"
             )
         result = run_plan(
-            plan, database, p, seed=seed,
-            backend=_effective_backend(self.backend, settings),
-            storage=storage if self.streams(settings) else None,
+            plan, database, p, seed=seed, storage=storage,
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -541,7 +477,6 @@ class ParallelHashJoin(Strategy):
             join_variables=self._join_variables(query), seed=seed,
             capacity_bits=settings.capacity_bits,
             on_overflow=settings.on_overflow,
-            backend=settings.backend,
             hash_method=settings.hash_method,
         )
         return StrategyOutcome(
@@ -591,23 +526,12 @@ class SingleServer(Strategy):
 
 
 # Registration order doubles as the cost tie-break (see optimizer.plan).
-# The bare "hypercube" / "multiround" strategies run whatever backend
-# :func:`repro.config.default_backend` selects (numpy as shipped, so
-# the planner is fast by default); the explicit "-tuples" / "-numpy"
-# twins pin one engine for ablations and ground-truth runs, e.g.
-# ``execute(..., strategy="hypercube-tuples")``.  All twins share one
-# cost estimate -- the model prices bits, not wall-clock -- so the
-# default-backend strategy wins ties by preceding its twins.
 _REGISTRY: list[Strategy] = [
     OneRoundHyperCube(),
-    OneRoundHyperCube("tuples"),
-    OneRoundHyperCube("numpy"),
     SkewObliviousHyperCube(),
     SkewAwareStar(),
     SkewAwareTriangle(),
     MultiRoundPlan(),
-    MultiRoundPlan("tuples"),
-    MultiRoundPlan("numpy"),
     ParallelHashJoin(),
     BroadcastJoin(),
     SingleServer(),

@@ -5,8 +5,8 @@ capacity ``L`` -- and then asks how *any* query runs on it.  This
 module gives the Python API the same shape:
 
 * :class:`ClusterConfig` is the frozen description of that cluster
-  (servers, execution backend, seed, capacity cap, routing PRF, memory
-  budget, chunk granularity);
+  (servers, seed, capacity cap, routing PRF, memory budget, chunk
+  granularity, pool, machines);
 * :class:`Session` owns the derived storage lifecycle and exposes one
   verb, :meth:`Session.run` -- planner-routed by default, pinnable to
   any named strategy -- plus :meth:`Session.plan` (EXPLAIN),
@@ -22,7 +22,7 @@ module gives the Python API the same shape:
   ``run_triangle_skew``, ``run_plan``) are thin wrappers over it, and
   the planner's strategies call those wrappers, so *every* execution
   in the system funnels through one resolution of the
-  backend/storage/capacity knobs
+  storage/pool/machines knobs
   (:meth:`repro.config.ExecutionSettings.resolve`).
 
 Quickstart::
@@ -71,7 +71,6 @@ from typing import (
 import numpy as np
 
 from repro.config import (
-    Backend,
     ExecutionSettings,
     MachineSpec,
     PoolKind,
@@ -157,15 +156,14 @@ class ClusterConfig:
     """The fixed machine configuration of the MPC model, as one value.
 
     Everything that describes the *cluster* -- as opposed to a single
-    query -- lives here: the number of servers ``p``, the execution
-    backend, the base seed every run derives from, the per-server
-    per-round capacity ``L`` and its overflow policy, the routing PRF,
-    and the memory story (budget and chunk granularity).  A
+    query -- lives here: the number of servers ``p``, the base seed
+    every run derives from, the per-server per-round capacity ``L`` and
+    its overflow policy, the routing PRF, and the memory story (budget
+    and chunk granularity).  A
     :class:`Session` applies one config uniformly to every run.
     """
 
     p: int
-    backend: Backend | None = None
     seed: int = 0
     capacity_bits: float | None = None
     on_overflow: Literal["fail", "drop"] = "fail"
@@ -217,15 +215,14 @@ class ClusterConfig:
             and self.memory_budget_bytes < 1
         ):
             raise ValueError("memory_budget_bytes must be >= 1")
-        # Delegate the remaining validation (backend, overflow policy,
-        # hash method, chunk_rows, pool, max_workers) to the settings
-        # value object.
+        # Delegate the remaining validation (overflow policy, hash
+        # method, chunk_rows, pool, max_workers) to the settings value
+        # object.
         self.settings()
 
     def settings(self) -> ExecutionSettings:
         """The per-run execution knobs this cluster prescribes."""
         return ExecutionSettings(
-            backend=self.backend,
             capacity_bits=self.capacity_bits,
             on_overflow=self.on_overflow,
             hash_method=self.hash_method,
@@ -261,9 +258,9 @@ def dispatch_run(
     """The shared internal run path behind every executor entry point.
 
     Resolves ``settings`` against ``storage`` and ``p`` exactly once
-    (:meth:`ExecutionSettings.resolve` -- the backend default, the
-    storage/backend compatibility check, the chunk-size default, the
-    machine-spec default and its ``p``-match validation) and
+    (:meth:`ExecutionSettings.resolve` -- the chunk-size default, the
+    pool default, the machine-spec default and its ``p``-match
+    validation) and
     invokes the named executor core.  ``run_hypercube`` /
     ``run_star_skew`` / ``run_triangle_skew`` / ``run_plan`` are thin
     wrappers over this function, and the planner's strategies run
@@ -365,7 +362,7 @@ class RunRecord:
     #: Exclusive per-phase wall-clock seconds
     #: (``generate``/``route``/``ship``/``join``/``merge``), from the
     #: executor's :class:`~repro.mpc.timing.PhaseTimer`.  Empty for
-    #: uninstrumented executors (the tuple-backend baselines).
+    #: uninstrumented executors (the in-memory baselines).
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
     #: Exclusive per-phase *bits delivered* -- ``phase_seconds``'s
     #: communication-volume twin (``LoadReport.phase_bytes``).  Sums to
@@ -543,7 +540,7 @@ class Session:
         With ``strategy=None`` the cost-based planner ranks every
         registered strategy and runs the predicted winner; a name pins
         any applicable strategy (``"hypercube"``, ``"skew-star"``,
-        ``"multiround-tuples"``, ...).  ``shares``/``exponents`` (share
+        ``"multiround"``, ...).  ``shares``/``exponents`` (share
         based strategies), ``hitters`` (skew-aware ones) and ``plan``
         (multi-round) override per run; strategies that cannot honor
         an override reject it.
@@ -968,8 +965,7 @@ class Session:
     def __repr__(self) -> str:
         storage = self.storage
         return (
-            f"Session(p={self.config.p}, backend="
-            f"{self.config.backend or 'default'}, "
+            f"Session(p={self.config.p}, "
             f"runs={len(self.history)}"
             + (f", storage={storage.root}" if storage is not None else "")
             + ")"

@@ -28,7 +28,6 @@ def run_skew_oblivious_hypercube(
     seed: int = 0,
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
-    backend: Literal["tuples", "numpy"] | None = None,
     hash_method: str = "splitmix64",
     storage: "StorageManager | None" = None,
     chunk_rows: int | None = None,
@@ -41,7 +40,7 @@ def run_skew_oblivious_hypercube(
     For the simple join this balances all three variables at share
     ``p^{1/3}`` (worst-case load ``M/p^{1/3}`` instead of the vanilla
     hash join's ``Theta(M)`` under a single heavy hitter).  All
-    execution knobs (``backend``, ``capacity_bits``, ``storage``, ...)
+    execution knobs (``capacity_bits``, ``storage``, ``pool``, ...)
     forward unchanged to :func:`run_hypercube`.
     """
     stats = database.statistics(query)
@@ -54,7 +53,6 @@ def run_skew_oblivious_hypercube(
         seed=seed,
         capacity_bits=capacity_bits,
         on_overflow=on_overflow,
-        backend=backend,
         hash_method=hash_method,
         storage=storage,
         chunk_rows=chunk_rows,

@@ -158,7 +158,6 @@ def run_star_skew(
     database: Database,
     p: int,
     seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
     hitters: HitterStatistics | None = None,
     *,
     capacity_bits: float | None = None,
@@ -182,26 +181,24 @@ def run_star_skew(
     does), skipping the detection scan here; the result is identical to
     detecting in-place.
 
-    ``backend="numpy"`` routes the *light* part columnar (whole
-    relations as arrays through
-    :func:`~repro.hypercube.algorithm.route_relation_arrays`, vectorized
-    local joins on the light servers) -- bit-identical loads and
-    answers; the per-hitter residual blocks are small by construction
-    and stay on the tuple path.  ``backend=None`` follows the
-    system-wide default (:func:`repro.config.set_default_backend`).
+    The *light* part routes columnar (whole relations as arrays
+    through :func:`~repro.hypercube.algorithm.route_relation_arrays`,
+    vectorized local joins on the light servers); the per-hitter
+    residual blocks are small by construction and route one tuple at a
+    time.
 
     ``capacity_bits`` imposes the same hard per-server per-round cap
     ``L`` that :func:`~repro.hypercube.algorithm.run_hypercube`
     supports, across the light grid *and* every per-hitter block.
-    Because both backends route every part in canonical (sorted) order,
-    a binding cap with ``on_overflow="drop"`` truncates the identical
-    per-server prefix on either engine.
+    Every part routes in canonical (sorted) order, so a binding cap
+    with ``on_overflow="drop"`` truncates a deterministic per-server
+    prefix.
 
-    ``storage`` (numpy backend only) streams the light part
-    chunk-by-chunk and spills the light servers' fragments and outputs
-    to the manager's chunked spools -- bit-identical loads and answers;
-    the per-hitter heavy blocks are ``O(p)``-sized by construction and
-    stay in memory.  ``chunk_rows`` sets the routing granularity alone.
+    ``storage`` streams the light part chunk-by-chunk and spills the
+    light servers' fragments and outputs to the manager's chunked
+    spools -- bit-identical loads and answers; the per-hitter heavy
+    blocks are ``O(p)``-sized by construction and stay in memory.
+    ``chunk_rows`` sets the routing granularity alone.
 
     ``pool``/``max_workers`` fan the light part's columnar routing and
     per-server joins out over a worker pool (the heavy blocks are small
@@ -228,7 +225,6 @@ def run_star_skew(
         seed=seed,
         storage=storage,
         settings=ExecutionSettings(
-            backend=backend,
             capacity_bits=capacity_bits,
             on_overflow=on_overflow,
             hash_method=hash_method,
@@ -252,7 +248,6 @@ def _star_impl(
     hitters: HitterStatistics | None = None,
 ) -> StarSkewResult:
     """The star-algorithm core; ``settings`` arrives already resolved."""
-    backend = settings.backend
     chunk_rows = settings.chunk_rows
     timer = PhaseTimer()
     pool = get_pool(settings.pool, settings.max_workers)
@@ -307,7 +302,6 @@ def _star_impl(
         timer=timer,
         machines=settings.machines,
     )
-    family = HashFamily(seed, method=settings.hash_method)
     sim.begin_round()
 
     # ---- Light part: vanilla HyperCube with all shares on z. ----------
@@ -318,53 +312,31 @@ def _star_impl(
     # unweighted: their servers are the modular extension past p, with
     # no per-block speed structure to exploit.
     light_weights = grid_dimension_weights(light_shares, settings.machines)
-    light_grid = GridPartitioner(light_shares, family, weights=light_weights)
     heavy_sorted = tuple(int(h) for h in sorted(heavy_values))
-    if backend == "numpy":
-        # Filter-then-route per chunk (one task per chunk, fanned out
-        # over the pool): filtering commutes with chunking, and results
-        # merge in task order, so the light rows reach every server in
-        # the same order as the monolithic serial route.
-        def light_tasks():
-            for atom in query.atoms:
-                zpos = center_pos[atom.relation]
-                for source in iter_array_sources(
-                    database[atom.relation], chunk_rows
-                ):
-                    yield RouteTask(
-                        tag=atom.relation,
-                        source=source,
-                        dimension_variables=tuple(dims),
-                        atom_variables=tuple(atom.variables),
-                        shares=tuple(light_shares),
-                        family_seed=seed,
-                        hash_method=settings.hash_method,
-                        exclude=((zpos, heavy_sorted),),
-                        weights=light_weights,
-                    )
+    # Filter-then-route per chunk (one task per chunk, fanned out
+    # over the pool): filtering commutes with chunking, and results
+    # merge in task order, so the light rows reach every server in
+    # the same order as the monolithic serial route.
+    def light_tasks():
+        for atom in query.atoms:
+            zpos = center_pos[atom.relation]
+            for source in iter_array_sources(
+                database[atom.relation], chunk_rows
+            ):
+                yield RouteTask(
+                    tag=atom.relation,
+                    source=source,
+                    dimension_variables=tuple(dims),
+                    atom_variables=tuple(atom.variables),
+                    shares=tuple(light_shares),
+                    family_seed=seed,
+                    hash_method=settings.hash_method,
+                    exclude=((zpos, heavy_sorted),),
+                    weights=light_weights,
+                )
 
-        with timer.phase("route"):
-            route_over_pool(pool, sim, light_tasks(), timer)
-    else:
-        with timer.phase("route"):
-            for atom in query.atoms:
-                relation = database[atom.relation]
-                zpos = center_pos[atom.relation]
-                # Sorted order, matching the columnar (sorted-array)
-                # route, so a binding capacity cap truncates the same
-                # per-server prefix on both backends.
-                light = [
-                    t
-                    for t in relation.sorted_tuples()
-                    if t[zpos] not in heavy_values
-                ]
-                batches: dict[int, list[tuple[int, ...]]] = {}
-                for server, t in route_relation(
-                    light_grid, dims, atom.variables, light
-                ):
-                    batches.setdefault(server, []).append(t)
-                for server, batch in batches.items():
-                    sim.send(server, atom.relation, batch)
+    with timer.phase("route"):
+        route_over_pool(pool, sim, light_tasks(), timer)
 
     # ---- Heavy part: one block and one residual query per hitter. -----
     residual_atoms = tuple(
@@ -422,24 +394,17 @@ def _star_impl(
     # ---- Computation phase. -------------------------------------------
     head = query.variables
     leg_order = [leg_of[a.relation] for a in query.atoms]
-    if backend == "numpy":
-        # Light servers fan out over the pool; outputs merge in server
-        # order, matching the serial loop.
-        with timer.phase("join"):
-            join_over_pool(
-                pool,
-                sim,
-                query,
-                range(p),
-                timer=timer,
-                clear=storage is not None,
-            )
-    else:
-        with timer.phase("join"):
-            for server in range(p):
-                local = evaluate_on_fragments(query, sim.state(server))
-                if local:
-                    sim.output(server, local)
+    # Light servers fan out over the pool; outputs merge in server
+    # order, matching the serial loop.
+    with timer.phase("join"):
+        join_over_pool(
+            pool,
+            sim,
+            query,
+            range(p),
+            timer=timer,
+            clear=storage is not None,
+        )
     with timer.phase("join"):
         for h, block_base, grid in blocks:
             for offset in range(grid.num_bins):

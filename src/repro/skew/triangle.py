@@ -117,7 +117,6 @@ def run_triangle_skew(
     database: Database,
     p: int,
     seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
     *,
     hitters: Mapping[str, HitterStatistics] | None = None,
     capacity_bits: float | None = None,
@@ -131,13 +130,10 @@ def run_triangle_skew(
 ) -> TriangleSkewResult:
     """Run the Section 4.2.2 algorithm in one MPC round.
 
-    ``backend="numpy"`` routes the *light* block columnar (array
-    routing through
+    The *light* block routes columnar (array routing through
     :func:`~repro.hypercube.algorithm.route_relation_arrays`, vectorized
-    local joins on the light servers) -- bit-identical loads and
-    answers.  The case-1/case-2 blocks handle the few heavy values and
-    stay on the tuple path.  ``backend=None`` follows the system-wide
-    default (:func:`repro.config.set_default_backend`).
+    local joins on the light servers).  The case-1/case-2 blocks handle
+    the few heavy values and route one tuple at a time.
 
     ``hitters`` accepts per-variable :class:`HitterStatistics` a caller
     has already collected at the exact ``m_j / p`` threshold (the
@@ -153,13 +149,13 @@ def run_triangle_skew(
     per-round cap ``L`` that
     :func:`~repro.hypercube.algorithm.run_hypercube` supports, across
     the light grid and the case-1/case-2 blocks; every part routes in
-    canonical (sorted) order, so a binding ``"drop"`` cap truncates the
-    identical per-server prefix on both backends.
+    canonical (sorted) order, so a binding ``"drop"`` cap truncates a
+    deterministic per-server prefix.
 
-    ``storage`` (numpy backend only) streams the light block
-    chunk-by-chunk and spills the light servers' fragments and outputs
-    to the manager's chunked spools; the case-1/case-2 blocks are
-    bounded by the heavy-hitter structure and stay in memory.
+    ``storage`` streams the light block chunk-by-chunk and spills the
+    light servers' fragments and outputs to the manager's chunked
+    spools; the case-1/case-2 blocks are bounded by the heavy-hitter
+    structure and stay in memory.
     ``chunk_rows`` sets the routing granularity alone.
 
     ``pool``/``max_workers`` fan the light block's columnar routing and
@@ -187,7 +183,6 @@ def run_triangle_skew(
         seed=seed,
         storage=storage,
         settings=ExecutionSettings(
-            backend=backend,
             capacity_bits=capacity_bits,
             on_overflow=on_overflow,
             hash_method=hash_method,
@@ -242,7 +237,6 @@ def _triangle_impl(
     hitters: Mapping[str, HitterStatistics] | None = None,
 ) -> TriangleSkewResult:
     """The triangle core; ``settings`` arrives already resolved."""
-    backend = settings.backend
     chunk_rows = settings.chunk_rows
     timer = PhaseTimer()
     pool = get_pool(settings.pool, settings.max_workers)
@@ -325,7 +319,6 @@ def _triangle_impl(
         timer=timer,
         machines=settings.machines,
     )
-    family = HashFamily(seed, method=settings.hash_method)
     sim.begin_round()
 
     # ---------------- Light block: vanilla HC on [0, p). ----------------
@@ -337,51 +330,34 @@ def _triangle_impl(
     light_weights = grid_dimension_weights(
         [light_shares[v] for v in dims], settings.machines
     )
-    light_grid = GridPartitioner(
-        [light_shares[v] for v in dims], family, weights=light_weights
-    )
-    if backend == "numpy":
-        # Filter-then-route per chunk (one task per chunk, fanned out
-        # over the pool): filtering commutes with chunking, and results
-        # merge in task order, so light rows reach every server in the
-        # same order as the monolithic serial route.
-        def light_tasks():
-            for atom in query.atoms:
-                a, b = atom.variables
-                exclude = tuple(
-                    (position, tuple(int(v) for v in sorted(heavy2[var])))
-                    for position, var in ((0, a), (1, b))
+    # Filter-then-route per chunk (one task per chunk, fanned out
+    # over the pool): filtering commutes with chunking, and results
+    # merge in task order, so light rows reach every server in the
+    # same order as the monolithic serial route.
+    def light_tasks():
+        for atom in query.atoms:
+            a, b = atom.variables
+            exclude = tuple(
+                (position, tuple(int(v) for v in sorted(heavy2[var])))
+                for position, var in ((0, a), (1, b))
+            )
+            for source in iter_array_sources(
+                database[atom.relation], chunk_rows
+            ):
+                yield RouteTask(
+                    tag=atom.relation,
+                    source=source,
+                    dimension_variables=tuple(dims),
+                    atom_variables=tuple(atom.variables),
+                    shares=tuple(light_shares[v] for v in dims),
+                    family_seed=seed,
+                    hash_method=settings.hash_method,
+                    exclude=exclude,
+                    weights=light_weights,
                 )
-                for source in iter_array_sources(
-                    database[atom.relation], chunk_rows
-                ):
-                    yield RouteTask(
-                        tag=atom.relation,
-                        source=source,
-                        dimension_variables=tuple(dims),
-                        atom_variables=tuple(atom.variables),
-                        shares=tuple(light_shares[v] for v in dims),
-                        family_seed=seed,
-                        hash_method=settings.hash_method,
-                        exclude=exclude,
-                        weights=light_weights,
-                    )
 
-        with timer.phase("route"):
-            route_over_pool(pool, sim, light_tasks(), timer)
-    else:
-        with timer.phase("route"):
-            for atom in query.atoms:
-                a, b = atom.variables
-                # Sorted order, matching the columnar (sorted-array)
-                # route, so a binding capacity cap truncates the same
-                # per-server prefix on both backends.
-                light = [
-                    t
-                    for t in database[atom.relation].sorted_tuples()
-                    if f(a, t[0]) < threshold2 and f(b, t[1]) < threshold2
-                ]
-                _route_block(sim, 0, light_grid, dims, atom, light)
+    with timer.phase("route"):
+        route_over_pool(pool, sim, light_tasks(), timer)
 
     # ---------------- Case-1 blocks: one per variable pair. -------------
     case1_bases = {}
@@ -469,23 +445,19 @@ def _triangle_impl(
     sim.end_round()
 
     # ---------------- Computation phase. --------------------------------
-    if backend == "numpy":
-        # Light-block servers hold array fragments in this mode; their
-        # joins fan out over the pool, outputs merging in server order.
-        with timer.phase("join"):
-            join_over_pool(
-                pool,
-                sim,
-                query,
-                range(p),
-                timer=timer,
-                clear=storage is not None,
-            )
-        remaining = range(p, 4 * p)
-    else:
-        remaining = range(4 * p)
+    # Light-block servers hold array fragments; their joins fan out
+    # over the pool, outputs merging in server order.
     with timer.phase("join"):
-        for server in remaining:
+        join_over_pool(
+            pool,
+            sim,
+            query,
+            range(p),
+            timer=timer,
+            clear=storage is not None,
+        )
+    with timer.phase("join"):
+        for server in range(p, 4 * p):
             local = evaluate_on_fragments(query, sim.state(server))
             if local:
                 sim.output(server, local)

@@ -136,12 +136,9 @@ class TestInconsistentRepeatedVariables:
         assert shipped == {(1, 1)}
         assert sum(len(batch) for _, batch in batches) == 2
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_inconsistent_tuples_contribute_zero_bits(self, backend):
+    def test_inconsistent_tuples_contribute_zero_bits(self):
         query, db = self.query(), self.database()
-        result = run_hypercube(
-            query, db, p=6, shares={"x": 3, "y": 2}, seed=0, backend=backend
-        )
+        result = run_hypercube(query, db, p=6, shares={"x": 3, "y": 2}, seed=0)
         assert result.answers == evaluate(query, db) == {(1, 5), (3, 7)}
         # Load accounting matches Eq. 9 over *consistent* tuples only:
         # R ships its 2 consistent tuples, replicated along y's share 2;

@@ -1,10 +1,10 @@
-"""Backend equivalence: the columnar engine must be bit-identical.
+"""The columnar HyperCube engine against the scalar oracle.
 
-The property the acceptance criteria demand: for randomized queries and
-databases under a fixed seed, ``run_hypercube(..., backend="numpy")``
-produces exactly the same answers, the same per-server loads (bits and
-tuples), and the same :class:`LoadReport` bit totals as the reference
-tuple-at-a-time backend.
+For randomized queries and databases under a fixed seed,
+``run_hypercube`` must produce exactly the answers, shares, per-server
+loads (bits and tuples) and :class:`LoadReport` totals of
+:func:`tests.oracle.hypercube`, which routes one tuple at a time with
+the scalar hash and joins with the sequential evaluator.
 """
 
 from __future__ import annotations
@@ -27,25 +27,17 @@ from repro.data.relation import Relation
 from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
 
+from tests import oracle
 from tests.conftest import random_queries
 
 
-def assert_backends_identical(query, db, p, seed=0, hash_method="splitmix64"):
-    tuples = run_hypercube(
-        query, db, p, seed=seed, backend="tuples", hash_method=hash_method
-    )
-    arrays = run_hypercube(
-        query, db, p, seed=seed, backend="numpy", hash_method=hash_method
-    )
-    assert arrays.answers == tuples.answers
-    assert arrays.shares == tuples.shares
-    assert arrays.report.num_rounds == tuples.report.num_rounds
-    for round_a, round_t in zip(arrays.report.rounds, tuples.report.rounds):
-        assert round_a.bits == round_t.bits
-        assert round_a.tuples == round_t.tuples
-    assert arrays.report.total_bits == tuples.report.total_bits
-    assert arrays.report.max_load_bits == tuples.report.max_load_bits
-    return tuples, arrays
+def assert_matches_oracle(query, db, p, seed=0, **knobs):
+    result = run_hypercube(query, db, p, seed=seed, **knobs)
+    model = oracle.hypercube(query, db, p, seed=seed, **knobs)
+    assert result.answers == model.answers
+    assert result.shares == model.shares
+    oracle.assert_report_matches(result.report, model)
+    return result
 
 
 class TestPropertyEquivalence:
@@ -55,16 +47,16 @@ class TestPropertyEquivalence:
         n = 8
         sizes = {a.relation: min(25, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
-        tuples, _ = assert_backends_identical(query, db, p=8, seed=seed)
-        assert tuples.answers == evaluate(query, db)
+        result = assert_matches_oracle(query, db, p=8, seed=seed)
+        assert result.answers == evaluate(query, db)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=10, deadline=None)
     def test_triangle_uniform(self, seed):
         query = triangle_query()
         db = uniform_database(query, m=60, n=25, seed=seed)
-        tuples, _ = assert_backends_identical(query, db, p=8, seed=seed)
-        assert tuples.answers == evaluate(query, db)
+        result = assert_matches_oracle(query, db, p=8, seed=seed)
+        assert result.answers == evaluate(query, db)
 
 
 class TestKnownWorkloads:
@@ -72,49 +64,40 @@ class TestKnownWorkloads:
     def test_matching_chain(self, p):
         query = chain_query(3)
         db = matching_database(query, m=40, n=200, seed=11)
-        assert_backends_identical(query, db, p, seed=5)
+        assert_matches_oracle(query, db, p, seed=5)
 
     def test_star_zipf(self):
         query = star_query(3)
         db = zipf_database(query, m=80, n=50, skew=1.2, seed=3)
-        assert_backends_identical(query, db, p=16, seed=3)
+        assert_matches_oracle(query, db, p=16, seed=3)
 
     def test_planted_skew(self):
         query = ConjunctiveQuery(
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
         db = planted_heavy_hitter_database(query, 50, 500, "z", 1.0, 3, seed=7)
-        assert_backends_identical(query, db, p=8, seed=1)
+        assert_matches_oracle(query, db, p=8, seed=1)
 
     def test_capacity_drop_identical_truncation(self):
-        # Both backends route in canonical order, so a binding capacity
-        # cap with on_overflow="drop" discards the same tuples: not
-        # just equal loads, equal *answers*.
+        # Routing in canonical order, a binding capacity cap with
+        # on_overflow="drop" discards exactly the tuples the model
+        # discards: not just equal loads, equal *answers*.
         query = ConjunctiveQuery(
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
         db = planted_heavy_hitter_database(query, 200, 2000, "z", 1.0, 5, seed=1)
-        results = [
-            run_hypercube(
-                query, db, p=16, exponents={"z": 1.0}, seed=3,
-                capacity_bits=333.3, on_overflow="drop", backend=backend,
-            )
-            for backend in ("tuples", "numpy")
-        ]
-        assert results[0].report.dropped_bits > 0
-        assert results[0].report.dropped_bits == results[1].report.dropped_bits
-        for round_t, round_a in zip(
-            results[0].report.rounds, results[1].report.rounds
-        ):
-            assert round_t.bits == round_a.bits
-        assert results[0].answers == results[1].answers
+        result = assert_matches_oracle(
+            query, db, p=16, exponents={"z": 1.0}, seed=3,
+            capacity_bits=333.3, on_overflow="drop",
+        )
+        assert result.report.dropped_bits > 0
 
     def test_blake2b_flag_cross_check(self):
         # The legacy hash stays available behind the flag and the
-        # backends agree under it too.
+        # engine matches the oracle under it too.
         query = triangle_query()
         db = uniform_database(query, m=50, n=20, seed=9)
-        assert_backends_identical(query, db, p=8, seed=9, hash_method="blake2b")
+        assert_matches_oracle(query, db, p=8, seed=9, hash_method="blake2b")
 
     def test_hash_methods_place_differently(self):
         # Sanity: the two PRFs are genuinely different functions.
@@ -136,8 +119,8 @@ class TestKnownWorkloads:
             ],
             10,
         )
-        tuples, _ = assert_backends_identical(query, db, p=6, seed=0)
-        assert tuples.answers == evaluate(query, db) == {(1, 5), (3, 7)}
+        result = assert_matches_oracle(query, db, p=6, seed=0)
+        assert result.answers == evaluate(query, db) == {(1, 5), (3, 7)}
 
 
 class TestColumnarPlumbing:
@@ -167,6 +150,6 @@ class TestColumnarPlumbing:
     def test_skip_local_join_numpy(self):
         query = triangle_query()
         db = matching_database(query, m=50, n=200, seed=2)
-        result = run_hypercube(query, db, p=8, skip_local_join=True, backend="numpy")
+        result = run_hypercube(query, db, p=8, skip_local_join=True)
         assert result.answers == set()
         assert result.max_load_bits > 0

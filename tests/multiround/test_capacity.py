@@ -2,11 +2,11 @@
 
 The multi-round executor enforces the same per-server per-round
 capacity that ``run_hypercube`` already supports: ``fail`` aborts with
-:class:`LoadExceededError`, ``drop`` truncates -- and because every
-backend routes each relation and view in canonical row order, the
-truncated per-server prefixes (and therefore all downstream rounds and
-the final answers) are identical under the tuple and columnar
-backends.
+:class:`LoadExceededError`, ``drop`` truncates -- and because each
+relation and view is routed in canonical row order, the truncated
+per-server prefixes (and therefore all downstream rounds and the final
+answers) are exactly those of the scalar oracle
+(:func:`tests.oracle.plan`).
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from repro.mpc.simulator import LoadExceededError
 from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
 
-
-def run_both_backends(plan, db, **kwargs):
-    tuples = run_plan(plan, db, backend="tuples", **kwargs)
-    arrays = run_plan(plan, db, backend="numpy", **kwargs)
-    return tuples, arrays
+from tests import oracle
 
 
 class TestCapacityThreading:
@@ -38,12 +34,10 @@ class TestCapacityThreading:
     def test_fail_mode_raises(self):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=80, n=80, seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                run_plan(
-                    plan, db, p=8, seed=0, backend=backend,
-                    capacity_bits=50.0,
-                )
+        with pytest.raises(LoadExceededError):
+            run_plan(plan, db, p=8, seed=0, capacity_bits=50.0)
+        with pytest.raises(oracle.OracleOverflow):
+            oracle.plan(plan, db, p=8, seed=0, capacity_bits=50.0)
 
     def test_rejects_bad_mode(self):
         plan = chain_plan(4, 0.0)
@@ -53,25 +47,17 @@ class TestCapacityThreading:
 
     @pytest.mark.parametrize("capacity", [800.0, 2000.0])
     def test_overcapacity_rounds_truncate_identically(self, capacity):
-        # The satellite's acceptance: an over-capacity round truncates
-        # the same tuples under both backends -- same per-round
-        # per-server bits, same dropped bits, same final answers.
+        # An over-capacity round truncates exactly the tuples the
+        # model truncates -- same per-round per-server bits, same
+        # dropped bits, same final answers.
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=150, n=60, skew=1.0, seed=5)
-        tuples, arrays = run_both_backends(
-            plan, db, p=8, seed=2, capacity_bits=capacity,
-            on_overflow="drop",
-        )
-        assert tuples.report.dropped_bits > 0
-        assert arrays.report.dropped_bits == tuples.report.dropped_bits
-        assert arrays.report.num_rounds == tuples.report.num_rounds
-        for round_a, round_t in zip(
-            arrays.report.rounds, tuples.report.rounds
-        ):
-            assert round_a.bits == round_t.bits
-            assert round_a.tuples == round_t.tuples
-            assert round_a.dropped_bits == round_t.dropped_bits
-        assert arrays.answers == tuples.answers
+        knobs = {"seed": 2, "capacity_bits": capacity, "on_overflow": "drop"}
+        result = run_plan(plan, db, p=8, **knobs)
+        model = oracle.plan(plan, db, 8, **knobs)
+        assert model.dropped_bits > 0
+        oracle.assert_report_matches(result.report, model)
+        assert result.answers == model.answers
 
     def test_drop_in_round_one_shrinks_later_views(self):
         # Dropped base tuples must propagate: the capped run's later

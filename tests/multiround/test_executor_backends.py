@@ -1,10 +1,10 @@
-"""Multi-round executor: backend equivalence and routing bugfixes.
+"""Multi-round executor: oracle equivalence and routing bugfixes.
 
 Three properties pinned here:
 
-* **Backend equivalence** -- ``run_plan(..., backend="numpy")`` is
-  bit-identical to the tuple reference path: same answers, same
-  per-server loads (bits and tuples) in every round, same
+* **Oracle equivalence** -- ``run_plan`` matches the scalar
+  tuple-at-a-time model of :func:`tests.oracle.plan`: same answers,
+  same per-server loads (bits and tuples) in every round, same
   ``LoadReport`` totals, and the same per-server view fragments after
   every operator, across chain/star/triangle plans and skewed (zipf)
   inputs -- mirroring ``tests/hypercube/test_backends.py``.
@@ -45,38 +45,30 @@ from repro.multiround.plans import (
     star_plan,
 )
 
+from tests import oracle
 from tests.conftest import random_queries
 
 
 def as_tuple_set(chunk) -> set[tuple[int, ...]]:
-    """A per-server view fragment as a plain tuple set, either backend."""
+    """A per-server view fragment (array or tuple set) as a tuple set."""
     if isinstance(chunk, np.ndarray):
         return set(map(tuple, chunk.tolist()))
     return set(chunk)
 
 
-def assert_plan_backends_identical(plan, db, p, seed=0):
-    tuples = run_plan(
-        plan, db, p, seed=seed, backend="tuples", keep_view_fragments=True
-    )
-    arrays = run_plan(
-        plan, db, p, seed=seed, backend="numpy", keep_view_fragments=True
-    )
-    assert arrays.answers == tuples.answers
-    assert arrays.rounds == tuples.rounds == plan.depth
-    assert arrays.report.num_rounds == tuples.report.num_rounds
-    for round_a, round_t in zip(arrays.report.rounds, tuples.report.rounds):
-        assert round_a.bits == round_t.bits
-        assert round_a.tuples == round_t.tuples
-    assert arrays.report.total_bits == tuples.report.total_bits
-    assert arrays.report.max_load_bits == tuples.report.max_load_bits
-    assert set(arrays.view_fragments) == set(tuples.view_fragments)
-    for name, tuple_chunks in tuples.view_fragments.items():
-        array_chunks = arrays.view_fragments[name]
-        assert len(array_chunks) == len(tuple_chunks)
-        for tuple_chunk, array_chunk in zip(tuple_chunks, array_chunks):
-            assert as_tuple_set(array_chunk) == tuple_chunk
-    return tuples, arrays
+def assert_plan_matches_oracle(plan, db, p, seed=0, **knobs):
+    result = run_plan(plan, db, p, seed=seed, keep_view_fragments=True, **knobs)
+    model = oracle.plan(plan, db, p, seed=seed, **knobs)
+    assert result.answers == model.answers
+    assert result.rounds == len(model.rounds) == plan.depth
+    oracle.assert_report_matches(result.report, model)
+    assert set(result.view_fragments) == set(model.view_fragments)
+    for name, model_chunks in model.view_fragments.items():
+        chunks = result.view_fragments[name]
+        assert len(chunks) == len(model_chunks)
+        for chunk, model_chunk in zip(chunks, model_chunks):
+            assert as_tuple_set(chunk) == model_chunk
+    return result
 
 
 class TestPropertyEquivalence:
@@ -90,8 +82,8 @@ class TestPropertyEquivalence:
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         plan = generic_plan(query, fanout=2)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=seed)
-        assert tuples.answers == evaluate(query, db)
+        result = assert_plan_matches_oracle(plan, db, p=8, seed=seed)
+        assert result.answers == evaluate(query, db)
 
     @pytest.mark.parametrize(
         "k,eps,p", [(4, 0.0, 8), (8, 0.0, 16), (16, 0.5, 16)]
@@ -99,47 +91,47 @@ class TestPropertyEquivalence:
     def test_chain_plans(self, k, eps, p):
         plan = chain_plan(k, eps)
         db = matching_database(plan.query, m=40, n=40, seed=k)
-        tuples, _ = assert_plan_backends_identical(plan, db, p, seed=3)
-        assert tuples.answers == evaluate(plan.query, db)
+        result = assert_plan_matches_oracle(plan, db, p, seed=3)
+        assert result.answers == evaluate(plan.query, db)
 
     def test_star_plan(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=50, n=250, seed=1)
-        assert_plan_backends_identical(plan, db, p=8, seed=2)
+        assert_plan_matches_oracle(plan, db, p=8, seed=2)
 
     def test_triangle_generic_plan(self):
         plan = generic_plan(triangle_query())
         db = uniform_database(plan.query, m=60, n=25, seed=5)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=4)
-        assert tuples.answers == evaluate(plan.query, db)
+        result = assert_plan_matches_oracle(plan, db, p=8, seed=4)
+        assert result.answers == evaluate(plan.query, db)
 
     def test_cycle_plan(self):
         plan = cycle_plan(5, 0.0)
         db = matching_database(plan.query, m=30, n=30, seed=6)
-        assert_plan_backends_identical(plan, db, p=8, seed=5)
+        assert_plan_matches_oracle(plan, db, p=8, seed=5)
 
     def test_spk_plan(self):
         plan = spk_plan(2)
         db = matching_database(plan.query, m=40, n=200, seed=7)
-        assert_plan_backends_identical(plan, db, p=16, seed=6)
+        assert_plan_matches_oracle(plan, db, p=16, seed=6)
 
     @pytest.mark.parametrize("skew", [0.8, 1.2])
     def test_zipf_star_plan(self, skew):
         plan = star_plan(2)
         db = zipf_database(plan.query, m=120, n=60, skew=skew, seed=8)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=7)
-        assert tuples.answers == evaluate(plan.query, db)
+        result = assert_plan_matches_oracle(plan, db, p=8, seed=7)
+        assert result.answers == evaluate(plan.query, db)
 
     def test_zipf_chain_plan(self):
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=100, n=50, skew=1.0, seed=9)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=8)
-        assert tuples.answers == evaluate(plan.query, db)
+        result = assert_plan_matches_oracle(plan, db, p=8, seed=8)
+        assert result.answers == evaluate(plan.query, db)
 
     def test_answers_array_matches_answers(self):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=30, n=30, seed=10)
-        result = run_plan(plan, db, p=8, seed=9, backend="numpy")
+        result = run_plan(plan, db, p=8, seed=9)
         rows = result.answers_array()
         assert set(map(tuple, rows.tolist())) == result.answers
         assert rows.shape[1] == plan.query.num_variables
@@ -171,21 +163,16 @@ class TestSameRoundFragmentIsolation:
     the next round's loads and shipping duplicates).
     """
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_view_fragments_match_isolated_runs(self, backend):
+    def test_view_fragments_match_isolated_runs(self):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        bushy = run_plan(
-            plan, db, p=8, seed=0, backend=backend, keep_view_fragments=True
-        )
+        bushy = run_plan(plan, db, p=8, seed=0, keep_view_fragments=True)
 
         # The regression oracle: each depth-1 node run as its own
         # single-node plan (same name, sizes, p and seed, hence the
         # same grid) must produce the same per-server fragments.
         for node in plan.root.children:
-            solo = run_plan(
-                Plan(node.operator, node), db, p=8, seed=0, backend=backend
-            )
+            solo = run_plan(Plan(node.operator, node), db, p=8, seed=0)
             bushy_chunks = bushy.view_fragments[node.name]
             solo_chunks = solo.view_fragments[node.name]
             assert len(bushy_chunks) == len(solo_chunks)
@@ -207,11 +194,10 @@ class TestSameRoundFragmentIsolation:
         with pytest.raises(ValueError, match="duplicate plan node name"):
             run_plan(Plan(query, duplicated), db, p=2)
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_answers_match_sequential_evaluation(self, backend):
+    def test_answers_match_sequential_evaluation(self):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        result = run_plan(plan, db, p=8, seed=0, backend=backend)
+        result = assert_plan_matches_oracle(plan, db, p=8, seed=0)
         assert result.answers == evaluate(plan.query, db)
 
     def test_shared_view_consumers_same_round(self):
@@ -226,7 +212,7 @@ class TestSameRoundFragmentIsolation:
         root = PlanNode("ROOT", (va, vb))
         plan = Plan(query, root)
         db = uniform_database(query, m=50, n=10, seed=3)
-        assert_plan_backends_identical(plan, db, p=8, seed=1)
+        assert_plan_matches_oracle(plan, db, p=8, seed=1)
         result = run_plan(plan, db, p=8, seed=1)
         assert result.answers == evaluate(query, db)
         # V1 feeds two parents but executes once: round 1 routes its
@@ -252,12 +238,15 @@ class TestSeedMixing:
         assert derive_seed(3, 4) == derive_seed(3, 4)
         assert 0 <= derive_seed(3, 4) < 2**64
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_seed_changes_routing_not_answers(self, backend):
+    # "numpy" checks the engine alone; "tuples" also holds both seeds'
+    # runs to the tuple-at-a-time oracle.
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
+    def test_seed_changes_routing_not_answers(self, reference):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=48, n=48, seed=11)
-        base = run_plan(plan, db, p=8, seed=0, backend=backend)
-        moved = run_plan(plan, db, p=8, seed=1, backend=backend)
+        run = assert_plan_matches_oracle if reference == "tuples" else run_plan
+        base = run(plan, db, p=8, seed=0)
+        moved = run(plan, db, p=8, seed=1)
         assert base.answers == moved.answers == evaluate(plan.query, db)
         per_server = [r.bits for r in base.report.rounds]
         per_server_moved = [r.bits for r in moved.report.rounds]
@@ -289,30 +278,26 @@ class TestOutputServerAccounting:
         query = triangle_query()
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=60, n=20, seed=4)
-        for backend in ("tuples", "numpy"):
-            result = run_plan(plan, db, p=10, seed=0, backend=backend)
-            num_bins = len(
-                [c for c in result.view_fragments["V1"] if len(c)]
-            )
-            assert num_bins <= 8
-            assert result.answers == evaluate(query, db)
-            sim = result.simulation
-            # No server beyond the grid is charged in any round...
-            for round_load in result.report.rounds:
-                assert all(server < 8 for server in round_load.bits)
-                assert all(server < 8 for server in round_load.tuples)
-            # ... and none holds outputs.
-            assert all(not sim.outputs_of(s) for s in (8, 9))
-            counts = sim.output_counts()
-            assert len(counts) == 10
-            assert counts[8:] == [0, 0]
+        result = assert_plan_matches_oracle(plan, db, p=10, seed=0)
+        num_bins = len([c for c in result.view_fragments["V1"] if len(c)])
+        assert num_bins <= 8
+        assert result.answers == evaluate(query, db)
+        sim = result.simulation
+        # No server beyond the grid is charged in any round...
+        for round_load in result.report.rounds:
+            assert all(server < 8 for server in round_load.bits)
+            assert all(server < 8 for server in round_load.tuples)
+        # ... and none holds outputs.
+        assert all(not sim.outputs_of(s) for s in (8, 9))
+        counts = sim.output_counts()
+        assert len(counts) == 10
+        assert counts[8:] == [0, 0]
 
     def test_view_fragments_padded_to_p(self):
         query = triangle_query()
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=40, n=20, seed=5)
-        for backend in ("tuples", "numpy"):
-            result = run_plan(plan, db, p=10, seed=0, backend=backend)
-            chunks = result.view_fragments["V1"]
-            assert len(chunks) == 10
-            assert all(len(c) == 0 for c in chunks[8:])
+        result = assert_plan_matches_oracle(plan, db, p=10, seed=0)
+        chunks = result.view_fragments["V1"]
+        assert len(chunks) == 10
+        assert all(len(c) == 0 for c in chunks[8:])

@@ -2,8 +2,7 @@
 
 The engine's budget contract: a binding budget opens a storage manager
 and runs streaming winners chunked (attaching the manager to the
-result); winners that cannot stream -- pinned tuple twins, in-memory
-baselines, or any strategy under the tuple default backend -- run
+result); winners that cannot stream -- the in-memory baselines -- run
 in-memory with ``.storage is None`` so callers can tell the budget was
 not enforced, and never crash.  Budgeted runs also plan from *sampled*
 statistics so the exact frequency scan cannot blow the budget first.
@@ -13,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import use_backend
-from repro.core.families import star_query, triangle_query
-from repro.data.generators import matching_database, zipf_database
+from repro.core.families import triangle_query
+from repro.data.generators import matching_database
 from repro.join.multiway import evaluate
 from repro.planner import execute
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
@@ -33,7 +31,7 @@ class TestBudgetSelection:
         query, db = triangle_db
         assert db.total_bytes() * IN_MEMORY_FOOTPRINT_FACTOR > 1
         planned = execute(
-            query, db, 8, strategy="hypercube-numpy", memory_budget_bytes=1
+            query, db, 8, strategy="hypercube", memory_budget_bytes=1
         )
         try:
             assert planned.storage is not None
@@ -53,9 +51,9 @@ class TestBudgetSelection:
 
     def test_chunked_results_match_in_memory(self, triangle_db):
         query, db = triangle_db
-        reference = execute(query, db, 8, strategy="hypercube-numpy")
+        reference = execute(query, db, 8, strategy="hypercube")
         budgeted = execute(
-            query, db, 8, strategy="hypercube-numpy",
+            query, db, 8, strategy="hypercube",
             stats=reference.plan.statistics,  # same (exact) statistics
             memory_budget_bytes=1,
         )
@@ -67,10 +65,10 @@ class TestBudgetSelection:
 
 
 class TestNonStreamingWinners:
-    def test_tuples_twin_declines_budget_honestly(self, triangle_db):
+    def test_nonstreaming_winner_declines_budget(self, triangle_db):
         query, db = triangle_db
         planned = execute(
-            query, db, 8, strategy="hypercube-tuples", memory_budget_bytes=1
+            query, db, 8, strategy="broadcast", memory_budget_bytes=1
         )
         assert planned.storage is None  # budget NOT enforced, and said so
         assert "out-of-core" not in planned.summary()
@@ -84,35 +82,17 @@ class TestNonStreamingWinners:
         with StorageManager() as manager:
             with pytest.raises(ValueError, match="cannot stream"):
                 execute(
-                    query, db, 8, strategy="hypercube-tuples",
-                    storage=manager,
+                    query, db, 8, strategy="broadcast", storage=manager,
                 )
 
-    def test_tuple_default_backend_never_crashes(self):
-        # The skew-aware strategies resolve backend=None at run time;
-        # under the tuple default they must decline the manager, not
-        # raise "requires the numpy backend".
-        query = star_query(2)
-        db = zipf_database(query, m=1500, n=600, skew=1.2, seed=2)
-        with use_backend("tuples"):
-            planned = execute(
-                query, db, 8, strategy="skew-star", memory_budget_bytes=1
-            )
-            assert planned.storage is None
-            assert planned.answers == evaluate(query, db)
-
-    def test_streams_capability_tracks_backend(self):
+    def test_streams_marks_columnar_executors(self):
         by_name = {s.name: s for s in default_strategies()}
-        assert by_name["hypercube-numpy"].streams()
-        assert not by_name["hypercube-tuples"].streams()
-        assert not by_name["single-server"].streams()
-        assert by_name["hypercube"].streams()  # numpy default
-        assert by_name["skew-star"].streams()
-        with use_backend("tuples"):
-            assert not by_name["hypercube"].streams()
-            assert not by_name["skew-star"].streams()
-            assert not by_name["multiround"].streams()
-            assert by_name["multiround-numpy"].streams()
+        streaming = {
+            "hypercube", "skew-oblivious", "skew-star", "skew-triangle",
+            "multiround",
+        }
+        for name, strategy in by_name.items():
+            assert strategy.streams is (name in streaming), name
 
 
 class TestSampledStatsUnderBudget:
@@ -142,7 +122,7 @@ class TestSampledStatsUnderBudget:
             classmethod(spy_sampled),
         )
         planned = execute(
-            query, db, 8, strategy="hypercube-numpy", memory_budget_bytes=1
+            query, db, 8, strategy="hypercube", memory_budget_bytes=1
         )
         try:
             assert calls["sampled"] == 1 and calls["exact"] == 0

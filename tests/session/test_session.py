@@ -3,8 +3,9 @@
 The acceptance property: ``Session.run`` pinned to a strategy is
 bit-identical -- answers, per-server per-round loads, capacity
 truncation -- to the corresponding legacy free function with the same
-knobs, across strategies x backends x storage modes; and every result
-class satisfies the :class:`RunResult` protocol.
+knobs, across strategies x storage modes -- and matches the scalar
+oracle of :mod:`tests.oracle`; and every result class satisfies the
+:class:`RunResult` protocol.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.hypercube.algorithm import run_hypercube
+from repro.hypercube.baselines import run_broadcast_join
 from repro.join.multiway import evaluate
 from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
@@ -29,6 +31,7 @@ from repro.skew.star import run_star_skew
 from repro.skew.triangle import run_triangle_skew
 from repro.storage import StorageManager
 
+from tests import oracle
 from tests.conftest import random_queries
 
 #: A 1-byte budget: every database's assumed footprint exceeds it, so
@@ -48,6 +51,28 @@ def assert_identical(a: RunResult, b: RunResult) -> None:
     assert a.rounds == b.rounds
 
 
+def check_reference(reference, mine, with_budget, legacy_run, oracle_run,
+                    servers=None):
+    """Hold a session run to its legacy twin or to the oracle.
+
+    ``legacy_run(storage)`` repeats the run through the free function
+    (under its own budget-sized manager when the session had one);
+    ``oracle_run()`` computes the scalar model's report, compared over
+    ``servers`` (all of them when None).
+    """
+    if reference == "numpy":
+        if with_budget:
+            with StorageManager.from_budget(TINY_BUDGET) as storage:
+                assert_identical(mine, legacy_run(storage))
+        else:
+            assert_identical(mine, legacy_run(None))
+        return
+    model = oracle_run()
+    oracle.assert_report_matches(mine.load_report, model, servers=servers)
+    if servers is None:
+        assert mine.answers == model.answers
+
+
 def star_case(seed):
     q = star_query(2)
     return q, zipf_database(q, m=250, n=100, skew=1.0, seed=seed)
@@ -64,100 +89,87 @@ def matching_triangle_case(seed):
 
 
 class TestBitIdentityToLegacy:
-    """session.run(strategy=...) == the legacy free function."""
+    """session.run(strategy=...) == the legacy free function == the oracle.
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    ``reference`` picks what the session run is held to: ``"numpy"``
+    is the legacy columnar free function with the same knobs (and the
+    same storage mode), ``"tuples"`` the scalar tuple-at-a-time oracle
+    of :mod:`tests.oracle` -- the whole report for HyperCube and plans,
+    the light block (servers ``[0, p)``) for the skew algorithms.
+    """
+
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_hypercube(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_hypercube(self, reference, with_budget, seed):
         q, db = matching_triangle_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=16, backend=backend, seed=seed,
+        with Session(p=16, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="hypercube")
-            if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
-            else:
-                legacy_storage = None
-            legacy = run_hypercube(
-                q, db, 16, seed=seed, backend=backend,
-                storage=legacy_storage,
-            )
-            assert_identical(mine, legacy)
             assert mine.answers == evaluate(q, db)
-            if legacy_storage is not None:
-                legacy_storage.close()
+            check_reference(
+                reference, mine, with_budget,
+                lambda storage: run_hypercube(
+                    q, db, 16, seed=seed, storage=storage
+                ),
+                lambda: oracle.hypercube(q, db, 16, seed=seed),
+            )
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_skew_star(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_skew_star(self, reference, with_budget, seed):
         q, db = star_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=seed,
+        with Session(p=8, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-star")
-            if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
-            else:
-                legacy_storage = None
-            legacy = run_star_skew(
-                q, db, 8, seed=seed, backend=backend,
-                storage=legacy_storage,
+            check_reference(
+                reference, mine, with_budget,
+                lambda storage: run_star_skew(
+                    q, db, 8, seed=seed, storage=storage
+                ),
+                lambda: oracle.star_light(q, db, 8, seed=seed),
+                servers=8,
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_skew_triangle(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_skew_triangle(self, reference, with_budget, seed):
         q, db = triangle_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=seed,
+        with Session(p=8, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-triangle")
-            if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
-            else:
-                legacy_storage = None
-            legacy = run_triangle_skew(
-                db, 8, seed=seed, backend=backend, storage=legacy_storage
+            check_reference(
+                reference, mine, with_budget,
+                lambda storage: run_triangle_skew(
+                    db, 8, seed=seed, storage=storage
+                ),
+                lambda: oracle.triangle_light(q, db, 8, seed=seed),
+                servers=8,
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
-    def test_multiround(self, backend, with_budget):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_multiround(self, reference, with_budget):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=60, n=60, seed=0)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=2,
+        with Session(p=8, seed=2,
                      memory_budget_bytes=budget) as session:
             mine = session.run(
                 plan.query, db, strategy="multiround", plan=plan
             )
-            if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
-            else:
-                legacy_storage = None
-            legacy = run_plan(
-                plan, db, 8, seed=2, backend=backend, storage=legacy_storage
+            check_reference(
+                reference, mine, with_budget,
+                lambda storage: run_plan(
+                    plan, db, 8, seed=2, storage=storage
+                ),
+                lambda: oracle.plan(plan, db, 8, seed=2),
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_planner_default_route(self, seed):
@@ -182,35 +194,35 @@ class TestBitIdentityToLegacy:
 
 
 class TestCapacityThreading:
-    """A session capacity cap truncates exactly like the legacy knob."""
+    """A session capacity cap truncates exactly like the legacy knob
+    (``"numpy"``) and like the oracle (``"tuples"``)."""
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_hypercube_drop(self, backend):
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
+    def test_hypercube_drop(self, reference):
         q, db = triangle_case(seed=4)
-        capacity = 900.0
-        with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
-                     on_overflow="drop") as session:
+        knobs = {"seed": 1, "capacity_bits": 900.0, "on_overflow": "drop"}
+        with Session(p=8, **knobs) as session:
             mine = session.run(q, db, strategy="hypercube")
-            legacy = run_hypercube(
-                q, db, 8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
+            assert mine.load_report.dropped_bits > 0
+            check_reference(
+                reference, mine, False,
+                lambda storage: run_hypercube(q, db, 8, **knobs),
+                lambda: oracle.hypercube(q, db, 8, **knobs),
             )
-            assert legacy.load_report.dropped_bits > 0
-            assert_identical(mine, legacy)
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_star_drop(self, backend):
+    @pytest.mark.parametrize("reference", ["tuples", "numpy"])
+    def test_star_drop(self, reference):
         q, db = star_case(seed=5)
-        capacity = 700.0
-        with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
-                     on_overflow="drop") as session:
+        knobs = {"seed": 1, "capacity_bits": 700.0, "on_overflow": "drop"}
+        with Session(p=8, **knobs) as session:
             mine = session.run(q, db, strategy="skew-star")
-            legacy = run_star_skew(
-                q, db, 8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
+            assert mine.load_report.dropped_bits > 0
+            check_reference(
+                reference, mine, False,
+                lambda storage: run_star_skew(q, db, 8, **knobs),
+                lambda: oracle.star_light(q, db, 8, **knobs),
+                servers=8,
             )
-            assert legacy.load_report.dropped_bits > 0
-            assert_identical(mine, legacy)
 
 
 class TestRunResultProtocol:
@@ -244,7 +256,6 @@ class TestRunResultProtocol:
 
     def test_baselines_conform_and_are_labeled(self):
         from repro.hypercube.baselines import (
-            run_broadcast_join,
             run_parallel_hash_join,
             run_single_server,
         )
@@ -263,8 +274,8 @@ class TestSessionSemantics:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="server"):
             ClusterConfig(p=0)
-        with pytest.raises(ValueError, match="backend"):
-            ClusterConfig(p=4, backend="pandas")
+        with pytest.raises(TypeError, match="backend"):
+            ClusterConfig(p=4, backend="tuples")
         with pytest.raises(ValueError, match="on_overflow"):
             ClusterConfig(p=4, on_overflow="explode")
         with pytest.raises(ValueError, match="hash_method"):
@@ -303,15 +314,15 @@ class TestSessionSemantics:
             session.run(q, db, strategy="hypercube")
             assert session.storage is None
 
-    def test_tuples_backend_with_budget_not_enforced(self):
+    def test_nonstreaming_winner_with_budget_not_enforced(self):
         # The engine's storage_optional contract: a non-streaming
         # winner runs in memory instead of raising.
         q, db = matching_triangle_case(seed=2)
-        with Session(p=8, backend="tuples",
-                     memory_budget_bytes=TINY_BUDGET) as session:
-            mine = session.run(q, db, strategy="hypercube")
-            legacy = run_hypercube(q, db, 8, seed=0, backend="tuples")
+        with Session(p=8, memory_budget_bytes=TINY_BUDGET) as session:
+            mine = session.run(q, db, strategy="broadcast")
+            legacy = run_broadcast_join(q, db, 8, seed=0)
             assert_identical(mine, legacy)
+            assert mine.budget_outcome == "not-enforced"
 
     def test_unsupported_override_rejected(self):
         q, db = star_case(seed=0)
@@ -353,12 +364,12 @@ class TestSessionSemantics:
             with pytest.raises(ValueError, match="plan answers"):
                 session.run(q, db, strategy="multiround", plan=wrong_plan)
 
-    def test_pinned_twin_strategies(self):
+    def test_removed_twin_strategies_are_unknown(self):
         q, db = matching_triangle_case(seed=3)
         with Session(p=16, seed=1) as session:
-            tuples_run = session.run(q, db, strategy="hypercube-tuples")
-            numpy_run = session.run(q, db, strategy="hypercube-numpy")
-        assert_identical(tuples_run, numpy_run)
+            for name in ("hypercube-tuples", "multiround-numpy"):
+                with pytest.raises(KeyError, match="hypercube"):
+                    session.run(q, db, strategy=name)
 
     def test_history_and_explain(self):
         q, db = matching_triangle_case(seed=0)

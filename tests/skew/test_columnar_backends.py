@@ -1,9 +1,9 @@
-"""The skew-aware executors' ``backend="numpy"`` light-part routing.
+"""The skew-aware executors' columnar light-part routing.
 
-The contract mirrors the HyperCube backends: identical answers and
-bit-identical per-server, per-round loads between the tuple reference
-path and the columnar path, on skew-free, zipf and planted-hitter
-inputs.
+The contract mirrors the HyperCube suite: the light block (servers
+``[0, p)``) receives exactly the per-server bits and tuples of the
+scalar oracle, and answers equal the sequential evaluator's, on
+skew-free, zipf and planted-hitter inputs.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from repro.join.multiway import evaluate
 from repro.skew.star import run_star_skew
 from repro.skew.triangle import run_triangle_skew
 
-
-def assert_bit_identical(report_a, report_b):
-    assert len(report_a.rounds) == len(report_b.rounds)
-    for round_a, round_b in zip(report_a.rounds, report_b.rounds):
-        assert round_a.bits == round_b.bits
-        assert round_a.tuples == round_b.tuples
+from tests import oracle
 
 
 class TestStarBackends:
@@ -40,36 +35,35 @@ class TestStarBackends:
     def test_zipf_bit_identical(self, k, m, n, skew, seed):
         q = star_query(k)
         db = zipf_database(q, m=m, n=n, skew=skew, seed=seed)
-        tuples = run_star_skew(q, db, 16, seed=7)
-        arrays = run_star_skew(q, db, 16, seed=7, backend="numpy")
-        assert_bit_identical(tuples.report, arrays.report)
-        assert tuples.answers == arrays.answers == evaluate(q, db)
-        assert tuples.servers_used == arrays.servers_used
-        assert tuples.heavy_hitters == arrays.heavy_hitters
+        result = run_star_skew(q, db, 16, seed=7)
+        model = oracle.star_light(q, db, 16, seed=7)
+        oracle.assert_report_matches(result.report, model, servers=16)
+        assert result.answers == evaluate(q, db)
 
     def test_matching_bit_identical(self):
         q = star_query(2)
         db = matching_database(q, m=500, n=4096, seed=3)
-        tuples = run_star_skew(q, db, 8, seed=0)
-        arrays = run_star_skew(q, db, 8, seed=0, backend="numpy")
-        assert_bit_identical(tuples.report, arrays.report)
-        assert tuples.answers == arrays.answers == evaluate(q, db)
+        result = run_star_skew(q, db, 8, seed=0)
+        model = oracle.star_light(q, db, 8, seed=0)
+        oracle.assert_report_matches(result.report, model, servers=8)
+        assert result.answers == model.answers == evaluate(q, db)
 
     def test_planted_hitter_bit_identical(self):
         q = star_query(2)
         db = planted_heavy_hitter_database(
             q, m=800, n=4096, variable="z", hitter_fraction=0.4, seed=5
         )
-        tuples = run_star_skew(q, db, 16, seed=1)
-        arrays = run_star_skew(q, db, 16, seed=1, backend="numpy")
-        assert_bit_identical(tuples.report, arrays.report)
-        assert tuples.answers == arrays.answers == evaluate(q, db)
+        result = run_star_skew(q, db, 16, seed=1)
+        model = oracle.star_light(q, db, 16, seed=1)
+        oracle.assert_report_matches(result.report, model, servers=16)
+        assert result.answers == evaluate(q, db)
 
     def test_rejects_unknown_backend(self):
+        # The engine has no backend option left to pass.
         q = star_query(2)
         db = matching_database(q, m=50, n=256, seed=0)
-        with pytest.raises(ValueError, match="backend"):
-            run_star_skew(q, db, 4, backend="jax")
+        with pytest.raises(TypeError, match="backend"):
+            run_star_skew(q, db, 4, backend="numpy")
 
 
 class TestTriangleBackends:
@@ -87,14 +81,14 @@ class TestTriangleBackends:
     def test_bit_identical(self, maker):
         q = triangle_query()
         db = maker(q)
-        tuples = run_triangle_skew(db, 8, seed=2)
-        arrays = run_triangle_skew(db, 8, seed=2, backend="numpy")
-        assert_bit_identical(tuples.report, arrays.report)
-        assert tuples.answers == arrays.answers == evaluate(q, db)
-        assert tuples.servers_used == arrays.servers_used
+        result = run_triangle_skew(db, 8, seed=2)
+        model = oracle.triangle_light(q, db, 8, seed=2)
+        oracle.assert_report_matches(result.report, model, servers=8)
+        assert result.answers == evaluate(q, db)
 
     def test_rejects_unknown_backend(self):
+        # The engine has no backend option left to pass.
         q = triangle_query()
         db = matching_database(q, m=50, n=256, seed=0)
-        with pytest.raises(ValueError, match="backend"):
-            run_triangle_skew(db, 4, backend="jax")
+        with pytest.raises(TypeError, match="backend"):
+            run_triangle_skew(db, 4, backend="numpy")

@@ -4,9 +4,9 @@ The star and triangle algorithms enforce the same per-server per-round
 cap ``L`` that ``run_hypercube`` and ``run_plan`` already support:
 ``fail`` aborts with :class:`LoadExceededError`, ``drop`` truncates --
 and because every part (light grids, per-hitter blocks, case-1/case-2
-blocks) routes in canonical sorted order, the truncated per-server
-prefixes (and therefore the surviving answers) are identical under the
-tuple and columnar backends.
+blocks) routes in canonical sorted order, the light block's truncated
+per-server prefixes are exactly those of the scalar oracle
+(:func:`tests.oracle.star_light` / :func:`tests.oracle.triangle_light`).
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from repro.mpc.simulator import LoadExceededError
 from repro.skew.star import run_star_skew
 from repro.skew.triangle import run_triangle_skew
 
-
-def assert_reports_identical(a, b):
-    assert a.report.num_rounds == b.report.num_rounds
-    for round_a, round_b in zip(a.report.rounds, b.report.rounds):
-        assert round_a.bits == round_b.bits
-        assert round_a.tuples == round_b.tuples
-        assert round_a.dropped_bits == round_b.dropped_bits
-    assert a.answers == b.answers
+from tests import oracle
 
 
 class TestStarCapacity:
@@ -45,11 +38,8 @@ class TestStarCapacity:
 
     def test_fail_mode_raises(self):
         q, db = self.query_db(seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                run_star_skew(
-                    q, db, p=8, seed=0, backend=backend, capacity_bits=60.0
-                )
+        with pytest.raises(LoadExceededError):
+            run_star_skew(q, db, p=8, seed=0, capacity_bits=60.0)
 
     def test_rejects_bad_mode(self):
         q, db = self.query_db(seed=2)
@@ -58,20 +48,15 @@ class TestStarCapacity:
 
     @pytest.mark.parametrize("capacity", [400.0, 1500.0])
     def test_truncation_identical_across_backends(self, capacity):
-        # The satellite's acceptance (the multiround test_capacity
-        # pattern): a binding cap drops the same tuples under both
-        # backends -- same per-server bits, dropped bits, answers.
+        # The multiround test_capacity pattern: a binding cap drops
+        # the tuples the model drops on the light servers -- same
+        # per-server bits, tuples and dropped bits.
         q, db = self.query_db(seed=3)
-        tuples_run = run_star_skew(
-            q, db, p=8, seed=1, backend="tuples",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        arrays_run = run_star_skew(
-            q, db, p=8, seed=1, backend="numpy",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        assert tuples_run.report.dropped_bits > 0
-        assert_reports_identical(tuples_run, arrays_run)
+        knobs = {"seed": 1, "capacity_bits": capacity, "on_overflow": "drop"}
+        result = run_star_skew(q, db, p=8, **knobs)
+        model = oracle.star_light(q, db, 8, **knobs)
+        assert result.report.dropped_bits > 0
+        oracle.assert_report_matches(result.report, model, servers=8)
 
     def test_dropped_tuples_shrink_answers(self):
         q, db = self.query_db(seed=4)
@@ -100,11 +85,8 @@ class TestTriangleCapacity:
 
     def test_fail_mode_raises(self):
         db = self.db(seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                run_triangle_skew(
-                    db, p=8, seed=0, backend=backend, capacity_bits=60.0
-                )
+        with pytest.raises(LoadExceededError):
+            run_triangle_skew(db, p=8, seed=0, capacity_bits=60.0)
 
     def test_rejects_bad_mode(self):
         db = self.db(seed=2)
@@ -114,16 +96,11 @@ class TestTriangleCapacity:
     @pytest.mark.parametrize("capacity", [600.0, 2500.0])
     def test_truncation_identical_across_backends(self, capacity):
         db = self.db(seed=3)
-        tuples_run = run_triangle_skew(
-            db, p=8, seed=1, backend="tuples",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        arrays_run = run_triangle_skew(
-            db, p=8, seed=1, backend="numpy",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        assert tuples_run.report.dropped_bits > 0
-        assert_reports_identical(tuples_run, arrays_run)
+        knobs = {"seed": 1, "capacity_bits": capacity, "on_overflow": "drop"}
+        result = run_triangle_skew(db, p=8, **knobs)
+        model = oracle.triangle_light(triangle_query(), db, 8, **knobs)
+        assert result.report.dropped_bits > 0
+        oracle.assert_report_matches(result.report, model, servers=8)
 
     def test_matching_data_uncapped_equals_capped_loosely(self):
         # A skew-free instance under a generous cap must not truncate.

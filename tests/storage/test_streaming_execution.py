@@ -5,9 +5,9 @@ family the repo executes -- vanilla HyperCube, the skew-aware star and
 triangle algorithms, and multi-round plans -- running with chunked
 routing and disk-spilling fragments produces exactly the same answers
 and the same per-server per-round loads (bits and tuples) as the
-in-memory columnar backend, across *random chunk sizes*, including the
+in-memory columnar engine, across *random chunk sizes*, including the
 capacity-truncation edge where per-server arrival order is the whole
-story.
+story -- there the reference is the scalar oracle (:mod:`tests.oracle`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.skew.star import run_star_skew
 from repro.skew.triangle import run_triangle_skew
 from repro.storage import StorageManager
 
+from tests import oracle
 from tests.conftest import random_queries
 
 
@@ -57,10 +58,10 @@ class TestHyperCubeChunked:
         n = 8
         sizes = {a.relation: min(25, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
-        reference = run_hypercube(query, db, p=8, seed=seed, backend="numpy")
+        reference = run_hypercube(query, db, p=8, seed=seed)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_hypercube(
-                query, db, p=8, seed=seed, backend="numpy", storage=storage
+                query, db, p=8, seed=seed, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -73,9 +74,9 @@ class TestHyperCubeChunked:
         # path the spilling run uses; it must also be bit-identical.
         query = triangle_query()
         db = matching_database(query, m=300, n=1200, seed=4)
-        reference = run_hypercube(query, db, p=8, seed=1, backend="numpy")
+        reference = run_hypercube(query, db, p=8, seed=1)
         chunked = run_hypercube(
-            query, db, p=8, seed=1, backend="numpy", chunk_rows=17
+            query, db, p=8, seed=1, chunk_rows=17
         )
         assert_same_report(reference.report, chunked.report)
         assert chunked.answers == reference.answers
@@ -96,9 +97,9 @@ class TestHyperCubeChunked:
                 ),
                 db.domain_size,
             )
-            reference = run_hypercube(query, db, p=8, seed=2, backend="numpy")
+            reference = run_hypercube(query, db, p=8, seed=2)
             chunked = run_hypercube(
-                query, twin, p=8, seed=2, backend="numpy", storage=storage
+                query, twin, p=8, seed=2, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -109,7 +110,7 @@ class TestHyperCubeChunked:
         # The sharpest equivalence: a binding capacity cap with
         # on_overflow="drop" truncates per-server *prefixes*, so the
         # chunked path must deliver every server the identical row
-        # sequence -- across chunk sizes and against the tuple path.
+        # sequence -- across chunk sizes and against the oracle.
         query = ConjunctiveQuery(
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
@@ -118,29 +119,13 @@ class TestHyperCubeChunked:
             p=16, exponents={"z": 1.0}, seed=3,
             capacity_bits=333.3, on_overflow="drop",
         )
-        reference = run_hypercube(query, db, backend="tuples", **kwargs)
-        assert reference.report.dropped_bits > 0
+        reference = oracle.hypercube(query, db, **kwargs)
+        assert reference.dropped_bits > 0
         for chunk_rows in (1, 64, 10_000):
             with StorageManager(chunk_rows=chunk_rows) as storage:
-                chunked = run_hypercube(
-                    query, db, backend="numpy", storage=storage, **kwargs
-                )
-                assert_same_report(reference.report, chunked.report)
+                chunked = run_hypercube(query, db, storage=storage, **kwargs)
+                oracle.assert_report_matches(chunked.report, reference)
                 assert chunked.answers == reference.answers
-
-    def test_storage_requires_numpy_backend(self):
-        query = triangle_query()
-        db = matching_database(query, m=20, n=100, seed=0)
-        with StorageManager() as storage:
-            with pytest.raises(ValueError, match="numpy backend"):
-                run_hypercube(
-                    query, db, p=4, backend="tuples", storage=storage
-                )
-            with pytest.raises(ValueError, match="numpy backend"):
-                run_plan(
-                    generic_plan(query), db, p=4, backend="tuples",
-                    storage=storage,
-                )
 
     def test_spill_files_are_cleaned_up(self):
         query = triangle_query()
@@ -159,10 +144,10 @@ class TestSkewChunked:
     def test_star_zipf(self, chunk_rows):
         query = star_query(3)
         db = zipf_database(query, m=300, n=120, skew=1.2, seed=3)
-        reference = run_star_skew(query, db, p=16, seed=3, backend="numpy")
+        reference = run_star_skew(query, db, p=16, seed=3)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_star_skew(
-                query, db, p=16, seed=3, backend="numpy", storage=storage
+                query, db, p=16, seed=3, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -176,10 +161,10 @@ class TestSkewChunked:
     def test_star_random_chunks(self, seed, chunk_rows):
         query = star_query(2)
         db = zipf_database(query, m=150, n=60, skew=1.0, seed=seed)
-        reference = run_star_skew(query, db, p=8, seed=seed, backend="numpy")
+        reference = run_star_skew(query, db, p=8, seed=seed)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_star_skew(
-                query, db, p=8, seed=seed, backend="numpy", storage=storage
+                query, db, p=8, seed=seed, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -188,10 +173,10 @@ class TestSkewChunked:
     @pytest.mark.parametrize("chunk_rows", [5, 64, 100_000])
     def test_triangle_zipf(self, chunk_rows):
         db = zipf_database(triangle_query(), m=300, n=80, skew=1.0, seed=4)
-        reference = run_triangle_skew(db, p=8, seed=2, backend="numpy")
+        reference = run_triangle_skew(db, p=8, seed=2)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_triangle_skew(
-                db, p=8, seed=2, backend="numpy", storage=storage
+                db, p=8, seed=2, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -209,10 +194,10 @@ class TestMultiRoundChunked:
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         plan = generic_plan(query, fanout=2)
-        reference = run_plan(plan, db, p=8, seed=seed, backend="numpy")
+        reference = run_plan(plan, db, p=8, seed=seed)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_plan(
-                plan, db, p=8, seed=seed, backend="numpy", storage=storage
+                plan, db, p=8, seed=seed, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -224,10 +209,10 @@ class TestMultiRoundChunked:
     def test_chain_plan_views_spill(self, chunk_rows):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=200, n=200, seed=6)
-        reference = run_plan(plan, db, p=8, seed=3, backend="numpy")
+        reference = run_plan(plan, db, p=8, seed=3)
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = run_plan(
-                plan, db, p=8, seed=3, backend="numpy", storage=storage,
+                plan, db, p=8, seed=3, storage=storage,
                 keep_view_fragments=True,
             )
             assert_same_report(reference.report, chunked.report)
@@ -245,10 +230,10 @@ class TestMultiRoundChunked:
     def test_star_plan_chunked(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=120, n=600, seed=7)
-        reference = run_plan(plan, db, p=8, seed=2, backend="numpy")
+        reference = run_plan(plan, db, p=8, seed=2)
         with StorageManager(chunk_rows=13) as storage:
             chunked = run_plan(
-                plan, db, p=8, seed=2, backend="numpy", storage=storage
+                plan, db, p=8, seed=2, storage=storage
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -256,20 +241,18 @@ class TestMultiRoundChunked:
     @pytest.mark.parametrize("chunk_rows", [3, 1000])
     def test_capacity_truncation_identical_chunked(self, chunk_rows):
         # Satellite edge: a binding per-round cap inside a multi-round
-        # plan truncates identically on the tuple, in-memory columnar,
-        # and chunked paths -- drops in round 1 then propagate
-        # identically through round 2.
+        # plan truncates like the oracle on the in-memory and chunked
+        # paths -- drops in round 1 then propagate identically through
+        # round 2.
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=150, n=60, skew=1.0, seed=9)
         kwargs = dict(p=8, seed=1, capacity_bits=2000.0, on_overflow="drop")
-        reference = run_plan(plan, db, backend="tuples", **kwargs)
-        assert reference.report.dropped_bits > 0
-        in_memory = run_plan(plan, db, backend="numpy", **kwargs)
-        assert_same_report(reference.report, in_memory.report)
+        reference = oracle.plan(plan, db, **kwargs)
+        assert reference.dropped_bits > 0
+        in_memory = run_plan(plan, db, **kwargs)
+        oracle.assert_report_matches(in_memory.report, reference)
         assert in_memory.answers == reference.answers
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_plan(
-                plan, db, backend="numpy", storage=storage, **kwargs
-            )
-            assert_same_report(reference.report, chunked.report)
+            chunked = run_plan(plan, db, storage=storage, **kwargs)
+            oracle.assert_report_matches(chunked.report, reference)
             assert chunked.answers == reference.answers

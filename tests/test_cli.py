@@ -87,22 +87,13 @@ class TestPlanSubcommand:
 
 
 class TestBackendFlag:
-    def test_backend_flag_sets_default_for_the_run(self, capsys):
-        import repro
-
-        previous = repro.default_backend()
-        try:
-            main(["--backend", "tuples", "plan", "T2", "--p", "4",
-                  "--m", "50", "--n", "200"])
-            assert repro.default_backend() == "tuples"
-        finally:
-            repro.set_default_backend(previous)
-        out = capsys.readouterr().out
-        assert "EXPLAIN" in out
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--backend", "pandas", "plan", "T2"])
+    def test_unknown_backend_rejected(self, capsys):
+        # The engine is not switchable any more: argparse rejects the
+        # removed flag like any unknown option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", "tuples", "plan", "T2"])
+        assert excinfo.value.code == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestRunSubcommand:

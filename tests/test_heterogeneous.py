@@ -4,10 +4,11 @@ The heterogeneous machine model's central invariant is that the uniform
 spec is *bit-identical* to the pre-heterogeneity code paths: equal
 speeds normalize away to the unweighted modulo hash and absent
 per-machine caps leave the global capacity comparisons untouched.
-These tests pin that down for all four engines across backends, pools
-and storage, then exercise the genuinely heterogeneous behavior --
-per-server caps in :class:`LoadExceededError`, makespan pricing in the
-planner, speed-weighted routing reducing measured makespan, and the
+These tests pin that down for all four executors across pools and
+storage (and against the scalar oracle), then exercise the genuinely
+heterogeneous behavior -- per-server caps in
+:class:`LoadExceededError`, makespan pricing in the planner,
+speed-weighted routing reducing measured makespan, and the
 trace/record/summary plumbing.
 """
 
@@ -42,6 +43,8 @@ from repro.skew.star import run_star_skew
 from repro.skew.triangle import run_triangle_skew
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
+
+from tests import oracle
 
 
 def fingerprint(result):
@@ -78,50 +81,69 @@ def homogeneous_default():
 
 
 class TestUniformIdentity:
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
+    # ``reference`` picks what the uniform-spec run is held to:
+    # "numpy" is the engine's own machines=None run, "tuples" the
+    # scalar tuple-at-a-time oracle (the light block for the skew
+    # algorithms).
+    @pytest.mark.parametrize("reference", ("tuples", "numpy"))
     @pytest.mark.parametrize("speed", (1.0, 2.5))
-    def test_hypercube(self, backend, speed):
+    def test_hypercube(self, reference, speed):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=3)
-        plain = run_hypercube(q, db, 8, seed=1, backend=backend)
         uniform = run_hypercube(
-            q, db, 8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8, speed=speed),
+            q, db, 8, seed=1, machines=MachineSpec.uniform(8, speed=speed),
         )
-        assert fingerprint(uniform) == fingerprint(plain)
+        if reference == "numpy":
+            plain = run_hypercube(q, db, 8, seed=1)
+            assert fingerprint(uniform) == fingerprint(plain)
+        else:
+            model = oracle.hypercube(q, db, 8, seed=1)
+            oracle.assert_report_matches(uniform.report, model)
+            assert uniform.answers == model.answers
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_star_skew(self, backend):
+    @pytest.mark.parametrize("reference", ("tuples", "numpy"))
+    def test_star_skew(self, reference):
         q = star_query(2)
         db = zipf_database(q, m=500, n=500, skew=1.0, seed=2)
-        plain = run_star_skew(q, db, 8, seed=1, backend=backend)
         uniform = run_star_skew(
-            q, db, 8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8),
+            q, db, 8, seed=1, machines=MachineSpec.uniform(8),
         )
-        assert fingerprint(uniform) == fingerprint(plain)
+        if reference == "numpy":
+            plain = run_star_skew(q, db, 8, seed=1)
+            assert fingerprint(uniform) == fingerprint(plain)
+        else:
+            model = oracle.star_light(q, db, 8, seed=1)
+            oracle.assert_report_matches(uniform.report, model, servers=8)
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_triangle_skew(self, backend):
+    @pytest.mark.parametrize("reference", ("tuples", "numpy"))
+    def test_triangle_skew(self, reference):
         q = triangle_query()
         db = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
-        plain = run_triangle_skew(db, 4, seed=1, backend=backend)
         uniform = run_triangle_skew(
-            db, 4, seed=1, backend=backend, machines=MachineSpec.uniform(4),
+            db, 4, seed=1, machines=MachineSpec.uniform(4),
         )
-        assert fingerprint(uniform) == fingerprint(plain)
+        if reference == "numpy":
+            plain = run_triangle_skew(db, 4, seed=1)
+            assert fingerprint(uniform) == fingerprint(plain)
+        else:
+            model = oracle.triangle_light(q, db, 4, seed=1)
+            oracle.assert_report_matches(uniform.report, model, servers=4)
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_multiround(self, backend):
+    @pytest.mark.parametrize("reference", ("tuples", "numpy"))
+    def test_multiround(self, reference):
         q = chain_query(4)
         db = matching_database(q, m=400, n=1600, seed=5)
         plan = chain_plan(4)
-        plain = run_plan(plan, db, 8, seed=1, backend=backend)
         uniform = run_plan(
-            plan, db, 8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8),
+            plan, db, 8, seed=1, machines=MachineSpec.uniform(8),
         )
-        assert fingerprint(uniform) == fingerprint(plain)
+        if reference == "numpy":
+            plain = run_plan(plan, db, 8, seed=1)
+            assert fingerprint(uniform) == fingerprint(plain)
+        else:
+            model = oracle.plan(plan, db, 8, seed=1)
+            oracle.assert_report_matches(uniform.report, model)
+            assert uniform.answers == model.answers
 
     @pytest.mark.parametrize("pool", ("thread", "process"))
     def test_across_pools(self, pool):
